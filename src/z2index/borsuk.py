@@ -10,6 +10,13 @@ index is decided by two exact criteria on an integral lift X of x:
 The self-linking value of Y under the torsion linking form is computed as
 an independent cross-check: it must equal (1/4) X^T B X mod 1 and be 1/2
 exactly in the index-3 case.
+
+Everything that belongs to the presentation rather than to one class (the
+symmetry check, the mod-2 reduction and the Smith form) is computed once,
+in an `Analysis`.  Each class then costs one B X, which gives Y and
+X^T B X; one U Y, which decides the Bockstein test and gives the order of
+Y; one more B X inside the public `triple_cup`, so that the verdict is the
+one its tests check; and, with the cross-check, one V c and one exact B z.
 """
 
 from __future__ import annotations
@@ -18,15 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlinalg import (
+    DimensionError,
     GF2Matrix,
     IntMatrix,
+    InvariantViolation,
+    SmithDecomposition,
+    checked_solution,
+    gf2_kernel_basis,
     is_in_integral_image,
+    smith_normal_form,
 )
-from .homology import CoverClass, QmodZ, cover_classes, torsion_linking
-
-
-class InvariantViolation(RuntimeError):
-    """An internal consistency assertion of the classifier failed."""
+from .homology import CoverClass, QmodZ, classes_from_kernel
 
 
 @dataclass(frozen=True)
@@ -81,52 +90,81 @@ def triple_cup(b: IntMatrix, lift) -> int:
     return (q // 2) % 2
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What the classification needs of one presentation, computed once."""
+
+    b: IntMatrix
+    bbar: GF2Matrix
+    smith: SmithDecomposition
+
+    @classmethod
+    def of(cls, b: IntMatrix) -> "Analysis":
+        if not b.is_symmetric:
+            raise DimensionError("linking matrix must be symmetric")
+        return cls(b, GF2Matrix.from_int_matrix(b), smith_normal_form(b))
+
+    def classify(self, x: CoverClass, *, crosscheck: bool = True) -> IndexReport:
+        """Classify one double-cover class of the presentation."""
+        b = self.b
+        if not self.bbar.mul_vec(x.vector).is_zero:
+            raise ValueError("class is not in the mod-2 kernel of the "
+                             "linking matrix")
+        lift = lift_class(x)
+        y = bockstein_representative(b, lift)
+        # X^T B X from the same B X: 2Y = B X
+        quad = 2 * sum(xi * yi for xi, yi in zip(lift, y))
+        # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
+        order, coeffs = self.smith.reduce(y)
+        if order not in (1, 2):
+            raise InvariantViolation(
+                f"Bockstein representative has order {order} in coker(B), "
+                "not 1 or 2"
+            )
+        vanishes = order == 1
+        cup = triple_cup(b, lift)
+        if cup == 1 and vanishes:
+            raise InvariantViolation(
+                "triple cup nonzero but Bockstein vanishes: trichotomy broken"
+            )
+        index = 3 if cup == 1 else (1 if vanishes else 2)
+        self_linking = None
+        if crosscheck:
+            # torsion linking lk(Y, Y) = (z . Y)/n for an exact solution z of
+            # B z = nY, checked against the quarter form computed from X
+            z = checked_solution(b, self.smith, y, order, coeffs)
+            self_linking = QmodZ.from_fraction(
+                Fraction(sum(zi * yi for zi, yi in zip(z, y)), order))
+            expected = QmodZ.from_fraction(Fraction(quad, 4))
+            if self_linking != expected:
+                raise InvariantViolation(
+                    f"self-linking {self_linking} != quarter-form value "
+                    f"{expected}"
+                )
+            if self_linking.value not in (Fraction(0), Fraction(1, 2)):
+                raise InvariantViolation(
+                    f"self-linking of a 2-torsion class must be 0 or 1/2, "
+                    f"got {self_linking}"
+                )
+            if (self_linking.value == Fraction(1, 2)) != (cup == 1):
+                raise InvariantViolation(
+                    "linking-form verdict disagrees with the triple cup"
+                )
+        return IndexReport(
+            cover_class=x,
+            lift=lift,
+            bockstein_rep=y,
+            beta_vanishes=vanishes,
+            triple_cup=cup,
+            self_linking=self_linking,
+            index=index,
+            bu_holds_for=tuple(range(1, index + 1)),
+        )
+
+
 def classify_class(b: IntMatrix, x: CoverClass, *, crosscheck: bool = True) -> IndexReport:
     """Classify one double-cover class of the presentation b."""
-    if not b.is_symmetric:
-        raise ValueError("linking matrix must be symmetric")
-    bbar = GF2Matrix.from_int_matrix(b)
-    if not bbar.mul_vec(x.vector).is_zero:
-        raise ValueError("class is not in the mod-2 kernel of the linking "
-                         "matrix")
-    lift = lift_class(x)
-    y = bockstein_representative(b, lift)
-    vanishes = is_in_integral_image(b, y)
-    cup = triple_cup(b, lift)
-    if cup == 1 and vanishes:
-        raise InvariantViolation(
-            "triple cup nonzero but Bockstein vanishes: trichotomy broken"
-        )
-    index = 3 if cup == 1 else (1 if vanishes else 2)
-    self_linking = None
-    if crosscheck:
-        # Y is always 2-torsion in coker(B) since 2Y = B X lies in im(B)
-        self_linking = torsion_linking(b, y, y)
-        quad = sum(xi * e for xi, e in zip(lift, b.mul_vec(lift)))
-        expected = QmodZ.from_fraction(Fraction(quad, 4))
-        if self_linking != expected:
-            raise InvariantViolation(
-                f"self-linking {self_linking} != quarter-form value {expected}"
-            )
-        if self_linking.value not in (Fraction(0), Fraction(1, 2)):
-            raise InvariantViolation(
-                f"self-linking of a 2-torsion class must be 0 or 1/2, "
-                f"got {self_linking}"
-            )
-        if (self_linking.value == Fraction(1, 2)) != (cup == 1):
-            raise InvariantViolation(
-                "linking-form verdict disagrees with the triple cup"
-            )
-    return IndexReport(
-        cover_class=x,
-        lift=lift,
-        bockstein_rep=y,
-        beta_vanishes=vanishes,
-        triple_cup=cup,
-        self_linking=self_linking,
-        index=index,
-        bu_holds_for=tuple(range(1, index + 1)),
-    )
+    return Analysis.of(b).classify(x, crosscheck=crosscheck)
 
 
 def classify_all(b: IntMatrix, cap: int = 1024, *, crosscheck: bool = True) -> ClassificationResult:
@@ -142,9 +180,11 @@ def classify_all(b: IntMatrix, cap: int = 1024, *, crosscheck: bool = True) -> C
             note="simply connected: no free involutions with connected "
                  "quotient data in this framework",
         )
-    classes, truncated = cover_classes(b, cap)
+    analysis = Analysis.of(b)
+    classes, truncated = classes_from_kernel(
+        gf2_kernel_basis(analysis.bbar), b.cols, cap)
     reports = tuple(
-        classify_class(b, x, crosscheck=crosscheck) for x in classes
+        analysis.classify(x, crosscheck=crosscheck) for x in classes
     )
     note = None
     if not reports:

@@ -4,8 +4,9 @@ Subcommands: analyze (classify a presentation file), lens (classify a
 lens space and compare with the family rule), catalog (look up the static
 table), selftest (run the verification suites).
 
-Exit codes: 0 success, 2 input validation, 3 cap exceeded without
---allow-truncate, 4 internal invariant violation.
+Exit codes: 0 success, 2 input validation (including input nested too
+deeply to parse), 3 cap exceeded without --allow-truncate, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations

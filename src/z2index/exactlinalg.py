@@ -7,13 +7,19 @@ and GF(2) vectors are bit-packed ints.  Nothing ever rounds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal consistency check of the exact computation failed."""
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,8 @@ class IntMatrix:
             raise DimensionError(
                 f"vector length {len(vec)} != column count {self.cols}"
             )
-        return tuple(
-            sum(a * b for a, b in zip(row, vec)) for row in self.entries
-        )
+        mul = operator.mul
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(
@@ -146,6 +151,33 @@ class SmithDecomposition:
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
+
+    @cached_property
+    def diagonal(self) -> tuple[int, ...]:
+        """The diagonal of s, padded with zeros to one entry per row."""
+        d = self.s.diagonal_entries()
+        return d + (0,) * (self.s.rows - len(d))
+
+    def reduce(self, y) -> tuple[int | None, tuple[int, ...]]:
+        """Transform y by u and walk the diagonal of s, in one pass.
+
+        Returns (n, c).  n is the least n >= 1 with n*y in im(b), or None
+        when y has infinite order in coker(b).  For finite n, c holds the
+        coefficients n*w_i/d_i (0 where d_i = 0), so that v @ c is an
+        integer z with b @ z == n*y; for infinite order c is empty.  y must
+        be a tuple of ints of length b.rows.
+        """
+        w = self.u.mul_vec(y)
+        n = 1
+        for wi, di in zip(w, self.diagonal):
+            if di == 0:
+                if wi:
+                    return None, ()
+            elif wi % di:
+                n = lcm(n, di // gcd(di, wi))
+        c = [n * wi // di if di else 0 for wi, di in zip(w, self.diagonal)]
+        cols = self.v.rows
+        return n, tuple(c[:cols] + [0] * (cols - len(c)))
 
     def verify(self, b: IntMatrix) -> bool:
         if (self.u @ b @ self.v) != self.s:
@@ -324,68 +356,63 @@ def cokernel_structure(b: IntMatrix) -> AbelianGroup:
     )
 
 
-def _transformed_rhs(b: IntMatrix, y) -> tuple[SmithDecomposition, tuple]:
+def _reduce(b: IntMatrix, y):
+    """(dec, y, n, c): b's Smith form, y as a tuple of ints checked against
+    b, and (n, c) = dec.reduce(y)."""
     y = tuple(int(e) for e in y)
     if len(y) != b.rows:
         raise DimensionError(
             f"vector length {len(y)} != row count {b.rows}"
         )
     dec = smith_normal_form(b)
-    return dec, dec.u.mul_vec(y)
+    return (dec, y, *dec.reduce(y))
+
+
+def checked_solution(b: IntMatrix, dec: SmithDecomposition, y, n: int,
+                     c) -> tuple[int, ...]:
+    """z = dec.v @ c for (n, c) = dec.reduce(y), checked to solve
+    b @ z == n*y exactly."""
+    z = dec.v.mul_vec(c)
+    if b.mul_vec(z) != tuple(n * e for e in y):
+        raise InvariantViolation(
+            "the Smith-form solution z does not solve b z = n y"
+        )
+    return z
+
+
+def solve_scaled(b: IntMatrix, y):
+    """(n, z) with n the order of y in coker(b) and z an integer solution
+    of b @ z == n*y, or None when y has infinite order."""
+    dec, y, n, c = _reduce(b, y)
+    if n is None:
+        return None
+    return n, checked_solution(b, dec, y, n, c)
+
+
+def order_in_cokernel(b: IntMatrix, y):
+    """Least n >= 1 with n*y in im(b), or None when y has infinite order."""
+    return _reduce(b, y)[2]
 
 
 def is_in_integral_image(b: IntMatrix, y) -> bool:
     """True iff b @ z == y has an integer solution z."""
-    dec, w = _transformed_rhs(b, y)
-    d = dec.s.diagonal_entries()
-    for i, wi in enumerate(w):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if wi != 0:
-                return False
-        elif wi % di:
-            return False
-    return True
+    return order_in_cokernel(b, y) == 1
 
 
 def solve_integral(b: IntMatrix, y):
     """An integer z with b @ z == y, or None when no such z exists."""
-    dec, w = _transformed_rhs(b, y)
-    d = dec.s.diagonal_entries()
-    coeffs = [0] * b.cols
-    for i, wi in enumerate(w):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if wi != 0:
-                return None
-        elif wi % di:
-            return None
-        else:
-            coeffs[i] = wi // di
-    z = dec.v.mul_vec(coeffs)
-    assert b.mul_vec(z) == tuple(int(e) for e in y)
-    return z
+    solved = solve_scaled(b, y)
+    return solved[1] if solved and solved[0] == 1 else None
 
 
 def solve_rational(b: IntMatrix, y):
     """An exact rational z with b @ z == y, or None if y is outside the
     rational column span."""
-    dec, w = _transformed_rhs(b, y)
-    d = dec.s.diagonal_entries()
-    coeffs = [Fraction(0)] * b.cols
-    for i, wi in enumerate(w):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if wi != 0:
-                return None
-        else:
-            coeffs[i] = Fraction(wi, di)
-    vt = dec.v.entries
-    z = tuple(
-        sum((vt[i][j] * coeffs[j] for j in range(b.cols)), Fraction(0))
-        for i in range(b.cols)
-    )
-    return z
+    solved = solve_scaled(b, y)
+    if solved is None:
+        return None
+    n, z = solved
+    return tuple(Fraction(e, n) for e in z)
 
 
 def congruence_transform(b: IntMatrix, p: IntMatrix) -> IntMatrix:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .exactlinalg import (
     AbelianGroup,
@@ -20,8 +19,8 @@ from .exactlinalg import (
     IntMatrix,
     cokernel_structure,
     gf2_kernel_basis,
-    smith_normal_form,
-    solve_integral,
+    order_in_cokernel,
+    solve_scaled,
 )
 
 
@@ -97,7 +96,14 @@ def cover_classes(b: IntMatrix, cap: int = 1024) -> tuple[list[CoverClass], bool
     nonzero elements only a basis is returned and truncated is True.
     """
     _require_symmetric(b)
-    basis = gf2_kernel_basis(GF2Matrix.from_int_matrix(b))
+    return classes_from_kernel(
+        gf2_kernel_basis(GF2Matrix.from_int_matrix(b)), b.cols, cap)
+
+
+def classes_from_kernel(basis: list[GF2Vector], length: int,
+                        cap: int = 1024) -> tuple[list[CoverClass], bool]:
+    """cover_classes from an already computed mod-2 kernel basis of a
+    linking matrix with `length` columns."""
     k = len(basis)
     if k and 2 ** k - 1 > cap:
         chosen = [CoverClass(v) for v in basis]
@@ -109,32 +115,11 @@ def cover_classes(b: IntMatrix, cap: int = 1024) -> tuple[list[CoverClass], bool
             for i in range(k):
                 if (mask >> i) & 1:
                     bits ^= basis[i].bits
-            vectors.append(GF2Vector(b.cols, bits))
+            vectors.append(GF2Vector(length, bits))
         chosen = [CoverClass(v) for v in vectors]
         truncated = False
     chosen.sort(key=lambda c: c.bits())
     return chosen, truncated
-
-
-def order_in_cokernel(b: IntMatrix, y):
-    """Least n >= 1 with n*y in im(b), or None when y has infinite order."""
-    y = tuple(int(e) for e in y)
-    if len(y) != b.rows:
-        raise DimensionError(
-            f"vector length {len(y)} != row count {b.rows}"
-        )
-    dec = smith_normal_form(b)
-    w = dec.u.mul_vec(y)
-    d = dec.s.diagonal_entries()
-    order = 1
-    for i, wi in enumerate(w):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if wi != 0:
-                return None
-        elif wi % di:
-            order = lcm(order, di // gcd(di, wi % di))
-    return order
 
 
 def torsion_linking(b: IntMatrix, a, c) -> QmodZ:
@@ -147,14 +132,12 @@ def torsion_linking(b: IntMatrix, a, c) -> QmodZ:
     """
     a = tuple(int(e) for e in a)
     c = tuple(int(e) for e in c)
-    n = order_in_cokernel(b, a)
-    if n is None:
+    solved = solve_scaled(b, a)
+    if solved is None:
         raise NonTorsionError("first class has infinite order in coker(b)")
     if order_in_cokernel(b, c) is None:
         raise NonTorsionError("second class has infinite order in coker(b)")
-    z = solve_integral(b, tuple(n * ai for ai in a))
-    if z is None:  # unreachable: n*a is in im(b) by definition of n
-        raise RuntimeError("order-scaled class not in the integral image")
+    n, z = solved
     return QmodZ.from_fraction(
         Fraction(sum(zi * ci for zi, ci in zip(z, c)), n)
     )

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, replace
 from math import gcd
 
-from .exactlinalg import IntMatrix
+from .exactlinalg import IntMatrix, InvariantViolation
 
 
 class PresentationError(ValueError):
@@ -106,7 +106,7 @@ def lens_presentation(p: int, q: int) -> SurgeryPresentation:
 
     The chain is the negative continued fraction of p/q: a tridiagonal
     linking matrix with diagonal (-a_1, ..., -a_n) and off-diagonal 1.
-    |det| = p is asserted at construction.
+    |det| = p is checked at construction.
     """
     if p < 2 or not (0 < q < p) or gcd(p, q) != 1:
         raise PresentationError(
@@ -126,7 +126,10 @@ def lens_presentation(p: int, q: int) -> SurgeryPresentation:
     d_prev, d = 1, coeffs[0]
     for a in coeffs[1:]:
         d_prev, d = d, a * d - d_prev
-    assert d == p
+    if d != p:
+        raise InvariantViolation(
+            f"chain for L({p},{q}) has determinant {d}, not {p}"
+        )
     return pres
 
 
@@ -139,22 +142,22 @@ def connected_sum(a: SurgeryPresentation, b: SurgeryPresentation) -> SurgeryPres
     """Block-diagonal union; presents the connected sum of the two
     surgered manifolds."""
     ma, mb = a.component_count, b.component_count
-    framings = a.framings + b.framings
-    m = ma + mb
+    # row i < ma of the joint upper triangle is row i of a's triangle and
+    # then mb zeros; the rows after it are b's triangle unchanged
+    zeros = (0,) * mb
     linkings = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j < ma:
-                linkings.append(a.linking(i, j))
-            elif i >= ma:
-                linkings.append(b.linking(i - ma, j - ma))
-            else:
-                linkings.append(0)
+    start = 0
+    for i in range(ma):
+        end = start + ma - i - 1
+        linkings += a.linkings[start:end]
+        linkings += zeros
+        start = end
+    linkings += b.linkings
     if a.label and b.label:
         label = f"{a.label} # {b.label}"
     else:
         label = a.label or b.label
-    return SurgeryPresentation(framings, tuple(linkings), label)
+    return SurgeryPresentation(a.framings + b.framings, tuple(linkings), label)
 
 
 _PRESETS = {"s3", "lens", "connected_sum"}
@@ -173,10 +176,39 @@ def parse_presentation(text: str, *, strict: bool = True) -> SurgeryPresentation
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PresentationError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise PresentationError("input nested too deeply to parse") from None
     return _presentation_from_doc(doc, strict=strict)
 
 
+_END = object()
+
+
 def _presentation_from_doc(doc, *, strict: bool) -> SurgeryPresentation:
+    # Nested connected sums are read with an explicit stack, so that their
+    # depth is bounded by memory and not by the recursion limit.  Each open
+    # sum is [label, iterator over the parts still to read, sum so far].
+    stack = []
+    while True:
+        pres = _read_level(doc, stack, strict=strict)
+        # fold finished presentations into the open sums until one of them
+        # has a part left to read
+        while True:
+            if pres is not None:
+                if not stack:
+                    return pres
+                stack[-1][2] = connected_sum(stack[-1][2], pres)
+            label, parts, total = stack[-1]
+            doc = next(parts, _END)
+            if doc is not _END:
+                break
+            stack.pop()
+            pres = total if label is None else replace(total, label=label)
+
+
+def _read_level(doc, stack: list, *, strict: bool):
+    """The presentation of a document other than a connected sum.  A
+    connected sum is pushed on `stack` unread, and None returned."""
     if not isinstance(doc, dict):
         raise PresentationError("input document must be a JSON object")
     label = None
@@ -193,7 +225,7 @@ def _presentation_from_doc(doc, *, strict: bool) -> SurgeryPresentation:
             raise PresentationError(f"unknown keys: {sorted(extra)}")
         return _presentation_from_matrix(doc["matrix"], label, strict=strict)
     if "preset" in doc:
-        return _presentation_from_preset(doc, keys, label, strict=strict)
+        return _presentation_from_preset(doc, keys, label, stack)
     raise PresentationError('missing "matrix" or "preset"')
 
 
@@ -222,9 +254,9 @@ def _presentation_from_matrix(matrix, label, *, strict: bool) -> SurgeryPresenta
     return SurgeryPresentation.from_matrix(matrix, label)
 
 
-def _presentation_from_preset(doc, keys, label, *, strict: bool) -> SurgeryPresentation:
+def _presentation_from_preset(doc, keys, label, stack: list):
     preset = doc["preset"]
-    if preset not in _PRESETS:
+    if not isinstance(preset, str) or preset not in _PRESETS:
         raise PresentationError(
             f"unknown preset {preset!r}; expected one of {sorted(_PRESETS)}"
         )
@@ -247,9 +279,8 @@ def _presentation_from_preset(doc, keys, label, *, strict: bool) -> SurgeryPrese
         parts = doc.get("parts")
         if not isinstance(parts, list):
             raise PresentationError('preset "connected_sum" needs a "parts" list')
-        pres = empty_presentation(label=None)
-        for part in parts:
-            pres = connected_sum(pres, _presentation_from_doc(part, strict=strict))
+        stack.append([label, iter(parts), empty_presentation(label=None)])
+        return None
     if label is not None:
         pres = replace(pres, label=label)
     return pres

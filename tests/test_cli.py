@@ -160,3 +160,25 @@ class TestSelftest:
         )
         result = suite_lens_sweep(pmax=12)
         assert not result.passed
+
+
+class TestErrorBoundary:
+    def test_deep_nesting_exits_2(self, tmp_path, capsys):
+        # json.dumps itself recurses, so the text is written out directly
+        text = ('{"preset": "connected_sum", "parts": [' * 3000
+                + '{"matrix": [[2]]}' + "]}" * 3000)
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        code, _ = run(["analyze", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "nested too deeply" in err
+
+    def test_invariant_violation_exits_4(self, monkeypatch, capsys):
+        import z2index.surgery as surgery
+
+        monkeypatch.setattr(surgery, "negative_continued_fraction",
+                            lambda p, q: [2, 2])
+        code, _ = run(["lens", "5", "2"])
+        assert code == 4
+        assert "internal invariant violation" in capsys.readouterr().err

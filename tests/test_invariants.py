@@ -1,0 +1,122 @@
+"""Internal checks raise InvariantViolation, not assert, so that they hold
+under `python -O`; nested input is parsed without recursion."""
+
+import pytest
+
+import z2index
+import z2index.borsuk as borsuk
+import z2index.exactlinalg as exactlinalg
+import z2index.surgery as surgery
+from z2index.borsuk import Analysis, classify_class
+from z2index.exactlinalg import (
+    IntMatrix,
+    InvariantViolation,
+    SmithDecomposition,
+    solve_integral,
+)
+from z2index.homology import CoverClass, torsion_linking
+from z2index.surgery import (
+    PresentationError,
+    SurgeryPresentation,
+    connected_sum,
+    lens_presentation,
+    parse_presentation,
+)
+
+
+def mat(rows):
+    return IntMatrix.from_rows(rows)
+
+
+def wrong_decomposition(v):
+    """A decomposition of [[-4]] with the right u and s but a wrong v."""
+    return SmithDecomposition(u=mat([[-1]]), s=mat([[4]]), v=mat([[v]]))
+
+
+def test_one_class_everywhere():
+    assert borsuk.InvariantViolation is InvariantViolation
+    assert z2index.InvariantViolation is InvariantViolation
+
+
+def test_wrong_decomposition_fails_solve_integral(monkeypatch):
+    monkeypatch.setattr(exactlinalg, "smith_normal_form",
+                        lambda b: wrong_decomposition(3))
+    with pytest.raises(InvariantViolation):
+        solve_integral(mat([[-4]]), (8,))
+
+
+def test_wrong_decomposition_fails_torsion_linking(monkeypatch):
+    monkeypatch.setattr(exactlinalg, "smith_normal_form",
+                        lambda b: wrong_decomposition(3))
+    with pytest.raises(InvariantViolation):
+        torsion_linking(mat([[-4]]), (2,), (2,))
+
+
+def test_wrong_decomposition_fails_classifier(monkeypatch):
+    monkeypatch.setattr(borsuk, "smith_normal_form",
+                        lambda b: wrong_decomposition(-1))
+    x = CoverClass.from_bits((1,))
+    with pytest.raises(InvariantViolation):
+        classify_class(mat([[-4]]), x)
+    # without the cross-check nothing looks at z
+    assert classify_class(mat([[-4]]), x, crosscheck=False).index == 2
+
+
+def test_analysis_rejects_wrong_order():
+    # u = [[1]] with s = [[1]] claims coker is 0: Y = -2 would vanish, and the
+    # exact check of z against B z = Y catches it
+    b = mat([[-4]])
+    bad = Analysis(b, Analysis.of(b).bbar,
+                   SmithDecomposition(u=mat([[1]]), s=mat([[1]]),
+                                      v=mat([[1]])))
+    with pytest.raises(InvariantViolation):
+        bad.classify(CoverClass.from_bits((1,)))
+
+
+def test_lens_determinant_check(monkeypatch):
+    monkeypatch.setattr(surgery, "negative_continued_fraction",
+                        lambda p, q: [2, 2])
+    with pytest.raises(InvariantViolation):
+        lens_presentation(5, 2)
+
+
+def nested_sum(depth, leaf):
+    doc = leaf
+    for _ in range(depth):
+        doc = {"preset": "connected_sum", "parts": [{"preset": "s3"}, doc]}
+    return doc
+
+
+def test_deep_nesting_is_parsed_without_recursion():
+    pres = surgery._presentation_from_doc(
+        nested_sum(3000, {"preset": "lens", "p": 6, "q": 1}), strict=True)
+    assert pres.framings == (-6,)
+    assert pres.label == "S^3 # " * 3000 + "L(6,1)"
+
+
+def test_too_deep_json_is_an_input_error():
+    # json.dumps itself recurses, so the text is written out directly
+    text = ('{"preset": "connected_sum", "parts": [' * 3000
+            + '{"matrix": [[2]]}' + "]}" * 3000)
+    with pytest.raises(PresentationError):
+        parse_presentation(text)
+
+
+def test_unhashable_preset_is_an_input_error():
+    with pytest.raises(PresentationError):
+        parse_presentation('{"preset": []}')
+
+
+def test_connected_sum_entries():
+    a = SurgeryPresentation((1, 2, 3), (4, 5, 6), "a")
+    b = SurgeryPresentation((7, 8), (9,), "b")
+    s = connected_sum(a, b)
+    for i in range(5):
+        for j in range(5):
+            if i < 3 and j < 3:
+                want = a.linking(i, j)
+            elif i >= 3 and j >= 3:
+                want = b.linking(i - 3, j - 3)
+            else:
+                want = 0
+            assert s.linking(i, j) == want
