@@ -11,22 +11,38 @@ The self-linking value of Y under the torsion linking form is computed as
 an independent cross-check: it must equal (1/4) X^T B X mod 1 and be 1/2
 exactly in the index-3 case.
 
-Everything that belongs to the presentation rather than to one class (the
-symmetry check, the mod-2 reduction and the Smith form) is computed once,
-in an `Analysis`.  Each class then costs one B X, which gives Y and
-X^T B X; one U Y, which decides the Bockstein test and gives the order of
-Y; one more B X inside the public `triple_cup`, so that the verdict is the
-one its tests check; and, with the cross-check, one V c and one exact B z.
+On the mod-2 kernel K = ker(B mod 2) all three are GF(2)-linear in x.  The
+triple cup is, because X^T B X' is even when B X' is even.  The Bockstein
+is a linear map K -> coker(B)[2].  The self-linking is, because
+2 lk(a, b) = lk(2a, b) = 0 for a and b of order 2.  So an `Analysis`
+classifies the k basis classes of K once, through the exact path: B X,
+the Smith-form reduction of Y with its order check, the public
+`triple_cup` and, with the cross-check, an exact solution z of B z = 2Y
+and the quarter-form comparison.  It keeps the results as bitmasks over
+the basis.  Everything else that belongs to the presentation (the
+symmetry check, the mod-2 reduction, the Smith form, the kernel basis) is
+computed there once, too.
+
+A class is then a mask over the basis, and costs one B X, which gives the
+reported Y and X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is
+the XOR and the parity of the basis masks.  The class checks that B X is
+even, that the trichotomy holds, and that the linearly extended triple
+cup and self-linking equal its own X . Y mod 2, which keeps the
+cross-check off the path of the verdict it checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlinalg import (
+    AbelianGroup,
     DimensionError,
     GF2Matrix,
+    GF2Vector,
     IntMatrix,
     InvariantViolation,
     SmithDecomposition,
@@ -35,7 +51,10 @@ from .exactlinalg import (
     is_in_integral_image,
     smith_normal_form,
 )
-from .homology import CoverClass, QmodZ, classes_from_kernel
+from .homology import CoverClass, QmodZ, kernel_span
+
+_ZERO = QmodZ(Fraction(0))
+_HALF = QmodZ(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -54,11 +73,16 @@ class IndexReport:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    """Reports for all double-cover classes of one presentation."""
+    """Reports for all double-cover classes of one presentation.
+
+    `analysis` is the presentation's `Analysis` when the result comes from
+    `classify_all`, so that a report can be built without analysing the
+    presentation again."""
 
     reports: tuple[IndexReport, ...]
     truncated: bool
     note: str | None = None
+    analysis: Analysis | None = field(default=None, compare=False, repr=False)
 
 
 def lift_class(x: CoverClass) -> tuple[int, ...]:
@@ -90,9 +114,30 @@ def triple_cup(b: IntMatrix, lift) -> int:
     return (q // 2) % 2
 
 
+def _dot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _parity(word: int) -> int:
+    return word.bit_count() & 1
+
+
+def _xor_selected(mask: int, words) -> int:
+    """The sum over GF(2) of the words whose position is a bit of mask."""
+    total = 0
+    for i, word in enumerate(words):
+        if mask >> i & 1:
+            total ^= word
+    return total
+
+
 @dataclass(frozen=True)
 class Analysis:
-    """What the classification needs of one presentation, computed once."""
+    """What the classification needs of one presentation, computed once.
+
+    Besides the mod-2 reduction and the Smith form it holds the mod-2
+    kernel basis and, as bitmasks over that basis, the verdict data of each
+    basis class: `cup_mask`, `beta_rows` and `linking_mask`."""
 
     b: IntMatrix
     bbar: GF2Matrix
@@ -104,52 +149,127 @@ class Analysis:
             raise DimensionError("linking matrix must be symmetric")
         return cls(b, GF2Matrix.from_int_matrix(b), smith_normal_form(b))
 
-    def classify(self, x: CoverClass, *, crosscheck: bool = True) -> IndexReport:
-        """Classify one double-cover class of the presentation."""
+    @cached_property
+    def basis(self) -> tuple[GF2Vector, ...]:
+        """A basis of the mod-2 kernel of b."""
+        return tuple(gf2_kernel_basis(self.bbar))
+
+    @cached_property
+    def free_columns(self) -> tuple[int, ...]:
+        """The free column of each basis vector: its highest set bit.
+
+        `gf2_kernel_basis` gives the vector of free column f the bit f and,
+        beside it, only pivot columns left of f, so bit f of a kernel class
+        is its coordinate on that basis vector."""
+        return tuple(v.bits.bit_length() - 1 for v in self.basis)
+
+    @cached_property
+    def homology(self) -> AbelianGroup:
+        """H_1 of the surgered manifold, from the Smith form."""
+        return self.smith.cokernel()
+
+    @cached_property
+    def _basis_classes(self) -> tuple[tuple, ...]:
+        """(lift, Y, order of Y, c, triple cup) of each basis class, where
+        (order, c) = smith.reduce(Y)."""
         b = self.b
-        if not self.bbar.mul_vec(x.vector).is_zero:
-            raise ValueError("class is not in the mod-2 kernel of the "
-                             "linking matrix")
-        lift = lift_class(x)
-        y = bockstein_representative(b, lift)
-        # X^T B X from the same B X: 2Y = B X
-        quad = 2 * sum(xi * yi for xi, yi in zip(lift, y))
-        # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
-        order, coeffs = self.smith.reduce(y)
-        if order not in (1, 2):
+        rows = []
+        for v in self.basis:
+            lift = v.to_bits()
+            try:
+                y = bockstein_representative(b, lift)
+                cup = triple_cup(b, lift)
+            except ValueError as exc:
+                # the basis comes from the mod-2 kernel: an odd B X or
+                # X^T B X is a fault of this program, not of its input
+                raise InvariantViolation(
+                    f"mod-2 kernel basis class {list(lift)}: {exc}") from exc
+            # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
+            order, coeffs = self.smith.reduce(y)
+            if order not in (1, 2):
+                raise InvariantViolation(
+                    f"Bockstein representative has order {order} in "
+                    "coker(B), not 1 or 2"
+                )
+            rows.append((lift, y, order, coeffs, cup))
+        return tuple(rows)
+
+    @cached_property
+    def cup_mask(self) -> int:
+        """Bit i: the triple cup of basis class i."""
+        return sum(cup << i
+                   for i, (*_, cup) in enumerate(self._basis_classes))
+
+    @cached_property
+    def beta_rows(self) -> tuple[int, ...]:
+        """Entry i: the Bockstein image of basis class i in coker(B)[2], bit
+        j set when its order is 2 and c_j is odd."""
+        return tuple(
+            sum((cj & 1) << j for j, cj in enumerate(coeffs))
+            if order == 2 else 0
+            for _, _, order, coeffs, _ in self._basis_classes
+        )
+
+    @cached_property
+    def linking_mask(self) -> int:
+        """Bit i: the self-linking of basis class i is 1/2.
+
+        Each value is lk(Y, Y) = (z . Y)/n for an exact solution z of
+        B z = nY, checked against the quarter form (1/4) X^T B X and the
+        triple cup of the class."""
+        mask = 0
+        for i, (lift, y, order, coeffs, cup) in enumerate(self._basis_classes):
+            z = checked_solution(self.b, self.smith, y, order, coeffs)
+            linking = QmodZ.from_fraction(Fraction(_dot(z, y), order))
+            expected = QmodZ.from_fraction(Fraction(2 * _dot(lift, y), 4))
+            if linking != expected:
+                raise InvariantViolation(
+                    f"self-linking {linking} != quarter-form value "
+                    f"{expected}"
+                )
+            if linking not in (_ZERO, _HALF):
+                raise InvariantViolation(
+                    f"self-linking of a 2-torsion class must be 0 or 1/2, "
+                    f"got {linking}"
+                )
+            if (linking == _HALF) != (cup == 1):
+                raise InvariantViolation(
+                    "linking-form verdict disagrees with the triple cup"
+                )
+            mask |= (linking == _HALF) << i
+        return mask
+
+    def _report(self, mask: int, x: CoverClass, crosscheck: bool) -> IndexReport:
+        """Classify the class x, which is the sum of the basis classes in
+        mask, from the basis masks and one B X."""
+        lift = x.bits()
+        w = self.b.mul_vec(lift)
+        if any(e & 1 for e in w):
             raise InvariantViolation(
-                f"Bockstein representative has order {order} in coker(B), "
-                "not 1 or 2"
+                f"B X is odd for the mod-2 kernel class {list(lift)}")
+        y = tuple(e // 2 for e in w)
+        # X . Y = (1/2) X^T B X, computed from this class alone
+        direct = _dot(lift, y) & 1
+        cup = _parity(mask & self.cup_mask)
+        if cup != direct:
+            raise InvariantViolation(
+                f"triple cup {cup} from the basis != (1/2) X^T B X mod 2 = "
+                f"{direct} for class {list(lift)}"
             )
-        vanishes = order == 1
-        cup = triple_cup(b, lift)
+        vanishes = _xor_selected(mask, self.beta_rows) == 0
         if cup == 1 and vanishes:
             raise InvariantViolation(
                 "triple cup nonzero but Bockstein vanishes: trichotomy broken"
             )
-        index = 3 if cup == 1 else (1 if vanishes else 2)
         self_linking = None
         if crosscheck:
-            # torsion linking lk(Y, Y) = (z . Y)/n for an exact solution z of
-            # B z = nY, checked against the quarter form computed from X
-            z = checked_solution(b, self.smith, y, order, coeffs)
-            self_linking = QmodZ.from_fraction(
-                Fraction(sum(zi * yi for zi, yi in zip(z, y)), order))
-            expected = QmodZ.from_fraction(Fraction(quad, 4))
-            if self_linking != expected:
+            if _parity(mask & self.linking_mask) != direct:
                 raise InvariantViolation(
-                    f"self-linking {self_linking} != quarter-form value "
-                    f"{expected}"
+                    f"self-linking from the basis != quarter-form value "
+                    f"{direct}/2 for class {list(lift)}"
                 )
-            if self_linking.value not in (Fraction(0), Fraction(1, 2)):
-                raise InvariantViolation(
-                    f"self-linking of a 2-torsion class must be 0 or 1/2, "
-                    f"got {self_linking}"
-                )
-            if (self_linking.value == Fraction(1, 2)) != (cup == 1):
-                raise InvariantViolation(
-                    "linking-form verdict disagrees with the triple cup"
-                )
+            self_linking = _HALF if direct else _ZERO
+        index = 3 if cup == 1 else (1 if vanishes else 2)
         return IndexReport(
             cover_class=x,
             lift=lift,
@@ -160,6 +280,44 @@ class Analysis:
             index=index,
             bu_holds_for=tuple(range(1, index + 1)),
         )
+
+    def classify(self, x: CoverClass, *, crosscheck: bool = True) -> IndexReport:
+        """Classify one double-cover class of the presentation."""
+        v = x.vector
+        if v.length != self.b.cols:
+            raise DimensionError(
+                f"class length {v.length} != column count {self.b.cols}")
+        # the coordinates of x on the basis are its bits at the free columns
+        mask = 0
+        for i, f in enumerate(self.free_columns):
+            mask |= v.bit(f) << i
+        if _xor_selected(mask, (u.bits for u in self.basis)) != v.bits:
+            raise ValueError("class is not in the mod-2 kernel of the "
+                             "linking matrix")
+        return self._report(mask, x, crosscheck)
+
+    def classify_all(self, cap: int = 1024, *,
+                     crosscheck: bool = True) -> ClassificationResult:
+        """Classify every double-cover class; see `classify_all`."""
+        if self.b.rows == 0:
+            return ClassificationResult(
+                reports=(),
+                truncated=False,
+                note="simply connected: no free involutions with connected "
+                     "quotient data in this framework",
+                analysis=self,
+            )
+        span, truncated = kernel_span(self.basis, cap)
+        reports = tuple(self._report(mask, CoverClass(v), crosscheck)
+                        for mask, v in span)
+        note = None
+        if not reports:
+            note = "no connected double cover"
+        elif truncated:
+            note = (f"kernel has {2 ** len(self.basis) - 1} nonzero classes; "
+                    "only a basis is classified (cap exceeded)")
+        return ClassificationResult(reports=reports, truncated=truncated,
+                                    note=note, analysis=self)
 
 
 def classify_class(b: IntMatrix, x: CoverClass, *, crosscheck: bool = True) -> IndexReport:
@@ -173,26 +331,7 @@ def classify_all(b: IntMatrix, cap: int = 1024, *, crosscheck: bool = True) -> C
     Subject to the cap policy of cover_classes: past the cap only the
     kernel basis is classified and the result is marked truncated.
     """
-    if b.rows == 0:
-        return ClassificationResult(
-            reports=(),
-            truncated=False,
-            note="simply connected: no free involutions with connected "
-                 "quotient data in this framework",
-        )
-    analysis = Analysis.of(b)
-    classes, truncated = classes_from_kernel(
-        gf2_kernel_basis(analysis.bbar), b.cols, cap)
-    reports = tuple(
-        analysis.classify(x, crosscheck=crosscheck) for x in classes
-    )
-    note = None
-    if not reports:
-        note = "no connected double cover"
-    elif truncated:
-        note = (f"kernel has {2 ** len(classes) - 1} nonzero classes; "
-                "only a basis is classified (cap exceeded)")
-    return ClassificationResult(reports=reports, truncated=truncated, note=note)
+    return Analysis.of(b).classify_all(cap, crosscheck=crosscheck)
 
 
 def diagonal_index(diagonal, x: CoverClass) -> int:

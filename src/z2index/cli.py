@@ -17,10 +17,15 @@ import json
 import sys
 
 from . import __version__
-from .borsuk import ClassificationResult, IndexReport, InvariantViolation, classify_all
+from .borsuk import (
+    Analysis,
+    ClassificationResult,
+    IndexReport,
+    InvariantViolation,
+    classify_all,
+)
 from .catalog import lens_rule_index, lookup
-from .exactlinalg import GF2Matrix, IntMatrix, gf2_kernel_basis
-from .homology import first_homology
+from .exactlinalg import IntMatrix
 from .surgery import (
     PresentationError,
     SurgeryPresentation,
@@ -57,8 +62,12 @@ def _class_doc(report: IndexReport) -> dict:
 
 def build_report(pres: SurgeryPresentation, result: ClassificationResult,
                  b: IntMatrix, warnings: list[str]) -> dict:
-    homology = first_homology(b)
-    k = _kernel_dimension(b)
+    # a result assembled by hand carries no analysis of b
+    analysis = result.analysis
+    if analysis is None:
+        analysis = Analysis.of(b)
+    homology = analysis.homology
+    k = len(analysis.basis)
     doc = {
         "schema": 1,
         "version": __version__,
@@ -76,10 +85,6 @@ def build_report(pres: SurgeryPresentation, result: ClassificationResult,
         "warnings": list(warnings),
     }
     return doc
-
-
-def _kernel_dimension(b: IntMatrix) -> int:
-    return len(gf2_kernel_basis(GF2Matrix.from_int_matrix(b)))
 
 
 def render_text(doc: dict, out) -> None:
@@ -124,8 +129,9 @@ def _classify_presentation(pres: SurgeryPresentation, args,
     result = classify_all(b, cap=args.cap, crosscheck=not args.no_crosscheck)
     if result.truncated and not args.allow_truncate:
         raise CapExceededError(
-            f"{2 ** _kernel_dimension(b) - 1} cover classes exceed the cap "
-            f"of {args.cap}; pass --allow-truncate to classify a basis only"
+            f"{2 ** len(result.analysis.basis) - 1} cover classes exceed "
+            f"the cap of {args.cap}; pass --allow-truncate to classify a "
+            "basis only"
         )
     return build_report(pres, result, b, warnings)
 

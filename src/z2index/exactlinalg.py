@@ -179,6 +179,14 @@ class SmithDecomposition:
         cols = self.v.rows
         return n, tuple(c[:cols] + [0] * (cols - len(c)))
 
+    def cokernel(self) -> "AbelianGroup":
+        """Z^m / im(b) for the square matrix b that this decomposes."""
+        d = self.s.diagonal_entries()
+        return AbelianGroup(
+            invariant_factors=tuple(f for f in d if f >= 2),
+            free_rank=sum(1 for f in d if f == 0),
+        )
+
     def verify(self, b: IntMatrix) -> bool:
         if (self.u @ b @ self.v) != self.s:
             return False
@@ -349,11 +357,7 @@ def cokernel_structure(b: IntMatrix) -> AbelianGroup:
     """Z^m / im(b) for a square presentation matrix b."""
     if not b.is_square:
         raise DimensionError("cokernel_structure needs a square matrix")
-    d = smith_normal_form(b).s.diagonal_entries()
-    return AbelianGroup(
-        invariant_factors=tuple(f for f in d if f >= 2),
-        free_rank=sum(1 for f in d if f == 0),
-    )
+    return smith_normal_form(b).cokernel()
 
 
 def _reduce(b: IntMatrix, y):

@@ -8,6 +8,7 @@ presentation matrix by an order-scaled integral solve.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,30 +97,37 @@ def cover_classes(b: IntMatrix, cap: int = 1024) -> tuple[list[CoverClass], bool
     nonzero elements only a basis is returned and truncated is True.
     """
     _require_symmetric(b)
-    return classes_from_kernel(
-        gf2_kernel_basis(GF2Matrix.from_int_matrix(b)), b.cols, cap)
+    span, truncated = kernel_span(
+        gf2_kernel_basis(GF2Matrix.from_int_matrix(b)), cap)
+    return [CoverClass(v) for _, v in span], truncated
 
 
-def classes_from_kernel(basis: list[GF2Vector], length: int,
-                        cap: int = 1024) -> tuple[list[CoverClass], bool]:
-    """cover_classes from an already computed mod-2 kernel basis of a
-    linking matrix with `length` columns."""
+def kernel_span(basis: Sequence[GF2Vector],
+                cap: int = 1024) -> tuple[list[tuple[int, GF2Vector]], bool]:
+    """The nonzero vectors spanned by a mod-2 kernel basis, lexicographic on
+    bit patterns, each as (mask, vector): bit i of mask is set when basis[i]
+    is a summand of vector.
+
+    Returns (span, truncated).  Under the cap policy of cover_classes, past
+    the cap only the basis vectors themselves are returned.
+    """
     k = len(basis)
+    width = basis[0].length if basis else 0
     if k and 2 ** k - 1 > cap:
-        chosen = [CoverClass(v) for v in basis]
+        span = [(1 << i, v) for i, v in enumerate(basis)]
         truncated = True
     else:
-        vectors = []
+        # each mask adds its lowest basis vector to a mask already summed
+        bits = [0] * 2 ** k
         for mask in range(1, 2 ** k):
-            bits = 0
-            for i in range(k):
-                if (mask >> i) & 1:
-                    bits ^= basis[i].bits
-            vectors.append(GF2Vector(length, bits))
-        chosen = [CoverClass(v) for v in vectors]
+            low = mask & -mask
+            bits[mask] = bits[mask ^ low] ^ basis[low.bit_length() - 1].bits
+        span = [(mask, GF2Vector(width, bits[mask]))
+                for mask in range(1, 2 ** k)]
         truncated = False
-    chosen.sort(key=lambda c: c.bits())
-    return chosen, truncated
+    # the bit string read from bit 0 up orders like the tuple of bits
+    span.sort(key=lambda item: format(item[1].bits, f"0{width}b")[::-1])
+    return span, truncated
 
 
 def torsion_linking(b: IntMatrix, a, c) -> QmodZ:

@@ -138,26 +138,35 @@ def empty_presentation(label: str | None = "S^3") -> SurgeryPresentation:
     return SurgeryPresentation((), (), label)
 
 
-def connected_sum(a: SurgeryPresentation, b: SurgeryPresentation) -> SurgeryPresentation:
-    """Block-diagonal union; presents the connected sum of the two
-    surgered manifolds."""
-    ma, mb = a.component_count, b.component_count
-    # row i < ma of the joint upper triangle is row i of a's triangle and
-    # then mb zeros; the rows after it are b's triangle unchanged
-    zeros = (0,) * mb
+def connected_sum(*parts: SurgeryPresentation) -> SurgeryPresentation:
+    """Block-diagonal union, in one pass; presents the connected sum of the
+    surgered manifolds.
+
+    Equal to the pairwise fold, label included: the labels of the parts
+    that have one are joined by " # ", and when none has one the label is
+    that of the last part (None for no parts).
+    """
+    after = sum(p.component_count for p in parts)
     linkings = []
-    start = 0
-    for i in range(ma):
-        end = start + ma - i - 1
-        linkings += a.linkings[start:end]
-        linkings += zeros
-        start = end
-    linkings += b.linkings
-    if a.label and b.label:
-        label = f"{a.label} # {b.label}"
+    for p in parts:
+        m = p.component_count
+        after -= m
+        # row i of p's upper triangle, then zeros for the components of the
+        # later parts
+        zeros = (0,) * after
+        start = 0
+        for i in range(m):
+            end = start + m - i - 1
+            linkings += p.linkings[start:end]
+            linkings += zeros
+            start = end
+    labels = [p.label for p in parts if p.label]
+    if labels:
+        label = " # ".join(labels)
     else:
-        label = a.label or b.label
-    return SurgeryPresentation(a.framings + b.framings, tuple(linkings), label)
+        label = parts[-1].label if parts else None
+    framings = tuple(f for p in parts for f in p.framings)
+    return SurgeryPresentation(framings, tuple(linkings), label)
 
 
 _PRESETS = {"s3", "lens", "connected_sum"}
@@ -187,23 +196,26 @@ _END = object()
 def _presentation_from_doc(doc, *, strict: bool) -> SurgeryPresentation:
     # Nested connected sums are read with an explicit stack, so that their
     # depth is bounded by memory and not by the recursion limit.  Each open
-    # sum is [label, iterator over the parts still to read, sum so far].
+    # sum is (label, iterator over the parts still to read, parts read), and
+    # its parts are joined in one pass when the last one has been read.
     stack = []
     while True:
         pres = _read_level(doc, stack, strict=strict)
-        # fold finished presentations into the open sums until one of them
+        # hand finished presentations to the open sums until one of them
         # has a part left to read
         while True:
             if pres is not None:
                 if not stack:
                     return pres
-                stack[-1][2] = connected_sum(stack[-1][2], pres)
-            label, parts, total = stack[-1]
+                stack[-1][2].append(pres)
+            label, parts, done = stack[-1]
             doc = next(parts, _END)
             if doc is not _END:
                 break
             stack.pop()
-            pres = total if label is None else replace(total, label=label)
+            pres = connected_sum(*done)
+            if label is not None:
+                pres = replace(pres, label=label)
 
 
 def _read_level(doc, stack: list, *, strict: bool):
@@ -279,7 +291,7 @@ def _presentation_from_preset(doc, keys, label, stack: list):
         parts = doc.get("parts")
         if not isinstance(parts, list):
             raise PresentationError('preset "connected_sum" needs a "parts" list')
-        stack.append([label, iter(parts), empty_presentation(label=None)])
+        stack.append((label, iter(parts), []))
         return None
     if label is not None:
         pres = replace(pres, label=label)

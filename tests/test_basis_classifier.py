@@ -1,0 +1,171 @@
+"""The classifier through the kernel basis.
+
+`Analysis` classifies the k mod-2 kernel basis classes through the exact
+path and derives every other verdict by GF(2) linearity.  These tests
+compare it with the per-class oracle of `test_differential` at sizes that
+oracle was not run at, on truncated runs, and on single classes, check
+that corrupted basis data is caught, and count the work done per class.
+"""
+
+import random
+
+import pytest
+
+import z2index.borsuk as borsuk
+import z2index.homology as homology
+from z2index.borsuk import Analysis, classify_all, classify_class
+from z2index.exactlinalg import (
+    GF2Vector,
+    IntMatrix,
+    InvariantViolation,
+    SmithDecomposition,
+)
+from z2index.homology import CoverClass, cover_classes
+from z2index.selftest import random_symmetric_matrix
+
+from test_differential import matrices, oracle_report
+
+
+def even_matrix(rng, n):
+    return IntMatrix.from_rows(
+        [[2 * e for e in row]
+         for row in random_symmetric_matrix(rng, n, 5).entries])
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+@pytest.mark.parametrize("crosscheck", [True, False])
+def test_all_even_sample_matches_oracle(n, crosscheck):
+    rng = random.Random(f"even:{n}")
+    for _ in range(2):
+        b = even_matrix(rng, n)
+        result = classify_all(b, cap=1 << n, crosscheck=crosscheck)
+        assert len(result.reports) == 2 ** n - 1 and not result.truncated
+        for report in rng.sample(result.reports, 25):
+            assert report == oracle_report(b, report.cover_class, crosscheck)
+
+
+@pytest.mark.parametrize("kind", ["dense", "even", "singular"])
+def test_truncated_basis_reports_match_oracle(kind):
+    truncated = 0
+    for b in matrices(kind, seed=20261019, count=60):
+        classes, _ = cover_classes(b, cap=1 << b.rows)
+        if len(classes) < 3:
+            continue
+        result = classify_all(b, cap=len(classes) - 1)
+        assert result.truncated
+        assert len(result.reports) == len(Analysis.of(b).basis)
+        assert result.reports == tuple(
+            oracle_report(b, r.cover_class, True) for r in result.reports)
+        truncated += 1
+    assert truncated > 0
+
+
+@pytest.mark.parametrize("kind", ["dense", "even", "singular"])
+def test_single_classes_match_classify_all(kind):
+    rng = random.Random(20261020)
+    for b in matrices(kind, seed=20261020, count=40):
+        reports = {r.cover_class: r for r in classify_all(b).reports}
+        for x in reports:
+            assert classify_class(b, x) == reports[x]
+        n = b.rows
+        for _ in range(10):
+            x = CoverClass(GF2Vector(n, rng.randrange(1, 1 << n)))
+            if x not in reports:
+                with pytest.raises(ValueError):
+                    classify_class(b, x)
+
+
+def test_class_outside_kernel_raises_value_error():
+    b = IntMatrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 4]])
+    for bits in ((1, 0, 0), (0, 1, 1), (1, 0, 1)):
+        with pytest.raises(ValueError):
+            classify_class(b, CoverClass.from_bits(bits))
+    assert classify_class(b, CoverClass.from_bits((0, 0, 1))).index == 2
+
+
+def analysed(b):
+    """An Analysis of b with its basis data computed."""
+    analysis = Analysis.of(b)
+    analysis.cup_mask, analysis.beta_rows, analysis.linking_mask
+    return analysis
+
+
+@pytest.mark.parametrize("name", ["cup_mask", "linking_mask"])
+def test_flipped_cup_or_linking_bit_is_caught(name):
+    flips = 0
+    for b in matrices("even", seed=20261021, count=30):
+        analysis = analysed(b)
+        for i in range(len(analysis.basis)):
+            flipped = analysed(b)
+            vars(flipped)[name] = getattr(analysis, name) ^ (1 << i)
+            with pytest.raises(InvariantViolation):
+                flipped.classify_all(cap=1 << b.rows)
+            flips += 1
+    assert flips > 0
+
+
+def test_flipped_beta_bit_is_caught():
+    # a basis class of triple cup 1 whose Bockstein image has one bit: with
+    # that bit flipped its Bockstein vanishes, against the trichotomy
+    flips = 0
+    for kind in ("dense", "even", "singular"):
+        for b in matrices(kind, seed=20261022, count=40):
+            analysis = analysed(b)
+            for i, row in enumerate(analysis.beta_rows):
+                if not (analysis.cup_mask >> i & 1 and row.bit_count() == 1):
+                    continue
+                flipped = analysed(b)
+                rows = list(analysis.beta_rows)
+                rows[i] ^= row
+                vars(flipped)["beta_rows"] = tuple(rows)
+                with pytest.raises(InvariantViolation):
+                    flipped.classify_all(cap=1 << b.rows)
+                flips += 1
+    assert flips > 0
+
+
+def test_odd_class_in_span_is_caught():
+    b = IntMatrix.diagonal([1, 2])
+    analysis = analysed(b)
+    # the masks of e_2 are kept, but the span now holds e_1 + e_2
+    vars(analysis)["basis"] = (GF2Vector.from_bits((1, 1)),)
+    with pytest.raises(InvariantViolation, match="odd"):
+        analysis.classify_all()
+
+
+def test_per_class_work(monkeypatch):
+    rng = random.Random(20261023)
+    b = even_matrix(rng, 8)
+    counts = {"mul_vec": 0, "reduce": 0, "checked_solution": 0,
+              "Fraction": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(IntMatrix, "mul_vec",
+                        counted("mul_vec", IntMatrix.mul_vec))
+    monkeypatch.setattr(SmithDecomposition, "reduce",
+                        counted("reduce", SmithDecomposition.reduce))
+    monkeypatch.setattr(borsuk, "checked_solution",
+                        counted("checked_solution", borsuk.checked_solution))
+    for module in (borsuk, homology):
+        monkeypatch.setattr(module, "Fraction",
+                            counted("Fraction", module.Fraction))
+
+    # the basis classes, once per presentation: B X and the B X of
+    # triple_cup, U Y, and the checked V c and B z
+    analysis = analysed(b)
+    k = len(analysis.basis)
+    assert k == 8
+    assert (counts["mul_vec"], counts["reduce"],
+            counts["checked_solution"]) == (5 * k, k, k)
+
+    for key in counts:
+        counts[key] = 0
+    result = analysis.classify_all(cap=1 << k)
+    assert len(result.reports) == 2 ** k - 1
+    assert counts == {"mul_vec": 2 ** k - 1, "reduce": 0,
+                      "checked_solution": 0, "Fraction": 0}

@@ -1,9 +1,13 @@
 import io
 import json
+import sys
 
 import pytest
 
+import z2index.borsuk as borsuk
+import z2index.exactlinalg as exactlinalg
 from z2index.cli import main
+from z2index.exactlinalg import GF2Vector
 
 
 def run(argv):
@@ -182,3 +186,66 @@ class TestErrorBoundary:
         code, _ = run(["lens", "5", "2"])
         assert code == 4
         assert "internal invariant violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failing", ["bockstein_representative",
+                                         "triple_cup"])
+    def test_odd_kernel_class_exits_4(self, tmp_path, monkeypatch, capsys,
+                                      failing):
+        # a kernel basis with a vector outside the mod-2 kernel: B X and
+        # X^T B X are odd, which inside the classifier is a fault of the
+        # program and not of its input
+        monkeypatch.setattr(borsuk, "gf2_kernel_basis",
+                            lambda bbar: [GF2Vector.from_bits((1, 0))])
+        if failing == "triple_cup":
+            # let the odd B X through, so that triple_cup sees it first
+            monkeypatch.setattr(borsuk, "bockstein_representative",
+                                lambda b, lift: tuple(
+                                    e // 2 for e in b.mul_vec(lift)))
+        path = write_doc(tmp_path, {"matrix": [[1, 0], [0, 2]]})
+        code, _ = run(["analyze", path])
+        assert code == 4
+        assert "is odd" in capsys.readouterr().err
+
+    def test_odd_lift_passed_in_is_an_input_error(self):
+        # the public functions keep ValueError, which `main` maps to exit 2
+        b = exactlinalg.IntMatrix.from_rows([[1, 0], [0, 2]])
+        for check in (borsuk.bockstein_representative, borsuk.triple_cup):
+            with pytest.raises(ValueError):
+                check(b, (1, 0))
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of exactlinalg.`name`, through every z2index module
+    that imports it."""
+    original = getattr(exactlinalg, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.split(".")[0] == "z2index"
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneAnalysisPerDocument:
+    @pytest.mark.parametrize("flags, code", [
+        ([], 0),
+        (["--format", "json"], 0),
+        (["--no-crosscheck"], 0),
+        (["--cap", "10"], 3),
+        (["--cap", "10", "--allow-truncate", "--format", "json"], 0),
+    ])
+    def test_one_kernel_and_one_smith_form(self, tmp_path, monkeypatch,
+                                           flags, code):
+        kernels = _count_calls(monkeypatch, "gf2_kernel_basis")
+        smith_forms = _count_calls(monkeypatch, "smith_normal_form")
+        path = write_doc(tmp_path, {"matrix": [
+            [2, 0, 0, 2, 0, 0], [0, 4, 0, 0, 0, 0], [0, 0, -2, 0, 0, 0],
+            [2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 6, 2], [0, 0, 0, 0, 2, 8]]})
+        assert run(["analyze", path, *flags])[0] == code
+        assert len(kernels) == 1
+        assert len(smith_forms) == 1

@@ -197,3 +197,70 @@ class TestParse:
     @settings(max_examples=80, deadline=None)
     def test_roundtrip(self, pres):
         assert parse_presentation(serialize_presentation(pres)) == pres
+
+
+def _pairwise_fold(doc):
+    """(matrix, label) of a parsed document, with every connected sum folded
+    two parts at a time: the reference for the one-pass join."""
+    if "matrix" in doc:
+        return doc["matrix"], doc.get("label")
+    if doc["preset"] == "s3":
+        return [], doc.get("label", "S^3")
+    if doc["preset"] == "lens":
+        pres = lens_presentation(doc["p"], doc["q"])
+        return linking_matrix(pres).to_lists(), doc.get("label", pres.label)
+    rows, label = [], None
+    for part in doc["parts"]:
+        part_rows, part_label = _pairwise_fold(part)
+        n, m = len(rows), len(part_rows)
+        rows = ([r + [0] * m for r in rows]
+                + [[0] * n + r for r in part_rows])
+        label = (f"{label} # {part_label}" if label and part_label
+                 else label or part_label)
+    return rows, doc.get("label", label)
+
+
+def _random_document(rng, depth):
+    label = rng.choice([None, None, "", "a", "b c"])
+    kind = rng.choice(["matrix", "lens", "s3", "sum", "sum"] if depth
+                      else ["matrix", "lens", "s3"])
+    if kind == "matrix":
+        n = rng.randint(0, 3)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-5, 5)
+        doc = {"matrix": rows}
+    elif kind == "lens":
+        p = rng.randint(2, 30)
+        q = rng.choice([q for q in range(1, p) if gcd(p, q) == 1])
+        doc = {"preset": "lens", "p": p, "q": q}
+    elif kind == "s3":
+        doc = {"preset": "s3"}
+    else:
+        doc = {"preset": "connected_sum", "parts": [
+            _random_document(rng, depth - 1)
+            for _ in range(rng.randint(0, 5))]}
+    if label is not None:
+        doc["label"] = label
+    return doc
+
+
+class TestNestedSums:
+    def test_one_pass_join_equals_pairwise_fold(self):
+        rng = random.Random(20261019)
+        for _ in range(400):
+            doc = _random_document(rng, depth=4)
+            pres = parse_presentation(json.dumps(doc))
+            rows, label = _pairwise_fold(doc)
+            assert linking_matrix(pres).to_lists() == rows
+            assert pres.label == label
+
+    def test_many_parts(self):
+        parts = [{"matrix": [[2]]}, {"preset": "lens", "p": 6, "q": 1}] * 200
+        pres = parse_presentation(json.dumps(
+            {"preset": "connected_sum", "parts": parts}))
+        rows, label = _pairwise_fold(
+            {"preset": "connected_sum", "parts": parts})
+        assert linking_matrix(pres).to_lists() == rows
+        assert pres.label == label
