@@ -5,8 +5,13 @@ lens space and compare with the family rule), catalog (look up the static
 table), selftest (run the verification suites).
 
 Exit codes: 0 success, 2 input validation (including input nested too
-deeply to parse), 3 cap exceeded without --allow-truncate, 4 internal
-invariant violation.
+deeply to parse and a negative --cap), 3 cap exceeded without
+--allow-truncate, 4 internal invariant violation, 141 (128 + SIGPIPE, what
+a shell reports for a program killed by SIGPIPE) when the reader of stdout
+closed the pipe before the output was written.
+
+JSON output comes from `render_json`, z2index's own indent-2 writer; its
+text is byte-identical to `json.dumps(doc, indent=2, ensure_ascii=False)`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+from json.encoder import encode_basestring as _quote
 
 from . import __version__
 from .borsuk import (
@@ -39,6 +46,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_INVARIANT = 4
+EXIT_PIPE = 141
 
 
 class CapExceededError(RuntimeError):
@@ -46,17 +54,20 @@ class CapExceededError(RuntimeError):
 
 
 def _class_doc(report: IndexReport) -> dict:
+    # the report's own tuples, not list copies: JSON writes a tuple as a
+    # list, and each copy is one more object the cyclic garbage collector
+    # tracks while the report lives
     return {
-        "class": list(report.cover_class.bits()),
-        "lift": list(report.lift),
-        "bockstein_rep": list(report.bockstein_rep),
+        "class": report.cover_class.bits(),
+        "lift": report.lift,
+        "bockstein_rep": report.bockstein_rep,
         "beta_vanishes": report.beta_vanishes,
         "triple_cup": report.triple_cup,
         "self_linking": (
             None if report.self_linking is None else str(report.self_linking)
         ),
         "index": report.index,
-        "bu_holds_for": list(report.bu_holds_for),
+        "bu_holds_for": report.bu_holds_for,
     }
 
 
@@ -100,9 +111,9 @@ def render_text(doc: dict, out) -> None:
     if doc["truncated"]:
         print("  [truncated: only a kernel basis is classified]", file=out)
     for cdoc in doc["classes"]:
-        print(f"class {cdoc['class']}:", file=out)
-        print(f"  lift X = {cdoc['lift']}", file=out)
-        print(f"  Y = (1/2) B X = {cdoc['bockstein_rep']}", file=out)
+        print(f"class {list(cdoc['class'])}:", file=out)
+        print(f"  lift X = {list(cdoc['lift'])}", file=out)
+        print(f"  Y = (1/2) B X = {list(cdoc['bockstein_rep'])}", file=out)
         print(f"  beta(x) vanishes: {cdoc['beta_vanishes']}", file=out)
         print(f"  (1/2) X^T B X mod 2 = {cdoc['triple_cup']}", file=out)
         if cdoc["self_linking"] is not None:
@@ -116,9 +127,52 @@ def render_text(doc: dict, out) -> None:
         print(f"warning: {w}", file=out)
 
 
+def render_json(value, pad: str = "\n") -> str:
+    """`value` as the text of `json.dumps(value, indent=2,
+    ensure_ascii=False)`, byte for byte.
+
+    With `indent` set, the stdlib encoder takes its pure-Python path and
+    makes one generator step and one small string per item.  Here every
+    container is one `join`, and a list of exact `int`s (no `bool`) joins
+    their `repr`, which for an exact `int` is `int.__repr__`, the form the
+    stdlib writes.  Keys must be strings: any other key raises TypeError,
+    where `json.dumps` would write an `int`, `float`, `bool` or `None` key
+    as a string.  `pad` is the newline and indentation of the line that
+    holds `value`.
+    """
+    t = type(value)
+    if t is str:
+        return _quote(value)
+    if t is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(repr, value)
+        else:
+            items = [render_json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote(k)}: {render_json(v, inner)}"
+                 for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    # floats and subclasses of str and int; anything else raises TypeError
+    return json.dumps(value, ensure_ascii=False)
+
+
 def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
-        print(json.dumps(doc, indent=2, ensure_ascii=False), file=out)
+        print(render_json(doc), file=out)
     else:
         render_text(doc, out)
 
@@ -196,7 +250,7 @@ def cmd_catalog(args, out) -> int:
         )
         doc["entries"].append(edoc)
     if args.format == "json":
-        print(json.dumps(doc, indent=2, ensure_ascii=False), file=out)
+        print(render_json(doc), file=out)
     else:
         if not entries:
             print(f"no catalog entries for {args.name!r}", file=out)
@@ -224,6 +278,14 @@ def cmd_selftest(args, out) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
+def class_count(text: str) -> int:
+    """The --cap argument: a count of cover classes, 0 or more."""
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="z2index",
@@ -235,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--cap", type=int, default=1024,
+        p.add_argument("--cap", type=class_count, default=1024,
                        help="max number of cover classes to enumerate")
         p.add_argument("--allow-truncate", action="store_true",
                        help="past the cap, classify a kernel basis only")
@@ -270,7 +332,15 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # the interpreter flushes stdout once more on exit; let that
+            # write go nowhere instead of raising a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (PresentationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

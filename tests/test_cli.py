@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import z2index
 import z2index.borsuk as borsuk
 import z2index.exactlinalg as exactlinalg
 from z2index.cli import main
@@ -212,6 +216,35 @@ class TestErrorBoundary:
         for check in (borsuk.bockstein_representative, borsuk.triple_cup):
             with pytest.raises(ValueError):
                 check(b, (1, 0))
+
+    def test_negative_cap_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lens", "2", "1", "--cap", "-5"])
+        assert exc.value.code == 2
+        assert "--cap: must be 0 or more, not -5" in capsys.readouterr().err
+
+    def test_cap_zero_admits_no_class(self):
+        assert run(["lens", "2", "1", "--cap", "0"])[0] == 3
+        code, text = run(["lens", "2", "1", "--cap", "0", "--allow-truncate",
+                          "--format", "json"])
+        assert code == 0 and json.loads(text)["truncated"]
+
+    def test_closed_pipe_exits_141_without_traceback(self, tmp_path):
+        # 1023 classes write about 300 kB, more than a pipe buffers
+        path = write_doc(tmp_path, {"matrix": [
+            [2 if i == j else 0 for j in range(10)] for i in range(10)]})
+        src = str(Path(z2index.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "z2index.cli", "analyze", path,
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(2) == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == "", err  # no traceback, no "Exception ignored"
 
 
 def _count_calls(monkeypatch, name):
