@@ -4,12 +4,17 @@
 Draws random symmetric presentations, applies random unimodular
 congruences (handle slides) and +-1 stabilizations (blow-ups), and
 verifies that the multiset of indices over all double-cover classes never
-changes.  Prints the distribution of spectra seen.
+changes.  Prints the distribution of spectra seen, and exits 1 if any
+variant's spectrum differs from its presentation's.  A stabilization adds
+a new 1x1 block to the linking matrix.
+
+    PYTHONPATH=src python scripts/invariance_experiment.py --trials 300 --size 6
 """
 
 import argparse
 import collections
 import random
+import sys
 
 from z2index.borsuk import classify_all
 from z2index.exactlinalg import IntMatrix, congruence_transform
@@ -48,7 +53,8 @@ def main():
     print("index spectra observed:")
     for spec, count in sorted(seen.items(), key=lambda kv: -kv[1]):
         print(f"  {list(spec)!s:<16} x{count}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

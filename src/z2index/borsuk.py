@@ -20,8 +20,20 @@ the Smith-form reduction of Y with its order check, the public
 `triple_cup` and, with the cross-check, an exact solution z of B z = 2Y
 and the quarter-form comparison.  It keeps the results as bitmasks over
 the basis.  Everything else that belongs to the presentation (the
-symmetry check, the mod-2 reduction, the Smith form, the kernel basis) is
+symmetry check, the mod-2 reduction, the Smith forms, the kernel basis) is
 computed there once, too.
+
+B is block-diagonal up to a permutation, with one block per connected
+component of the graph in which i and j are joined when B_ij != 0; a
+connected sum of lens spaces has one block per summand.  Everything above
+splits as a direct sum over the blocks: H_1, K (each kernel basis vector
+lies in the block of its free column), the Bockstein into coker(B)[2] and
+the linking form.  So the elimination, which costs about m^3 on an m x m
+matrix, runs once per block, on blocks of sizes m_1, ..., m_r, for the sum
+of the m_i^3 in place of n^3; one mod-2 elimination of the whole B, which
+is cheap, gives K.  A basis class is reduced by the Smith form of its own
+block, and H_1 is merged from the blocks' invariant factors.  Nothing is
+kept from one presentation to the next.
 
 A class is then a mask over the basis, and costs one B X, which gives the
 reported Y and X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is
@@ -37,6 +49,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .exactlinalg import (
     AbelianGroup,
@@ -47,8 +60,11 @@ from .exactlinalg import (
     InvariantViolation,
     SmithDecomposition,
     checked_solution,
+    connected_blocks,
+    diagonal_cokernel,
     gf2_kernel_basis,
     is_in_integral_image,
+    principal_submatrix,
     smith_normal_form,
 )
 from .homology import CoverClass, QmodZ, kernel_span
@@ -132,22 +148,37 @@ def _xor_selected(mask: int, words) -> int:
 
 
 @dataclass(frozen=True)
+class Block:
+    """One connected block of a linking matrix: its indices in ascending
+    order, the principal submatrix b on them, and the Smith form of b."""
+
+    index: tuple[int, ...]
+    b: IntMatrix
+    smith: SmithDecomposition
+
+
+@dataclass(frozen=True)
 class Analysis:
     """What the classification needs of one presentation, computed once.
 
-    Besides the mod-2 reduction and the Smith form it holds the mod-2
-    kernel basis and, as bitmasks over that basis, the verdict data of each
-    basis class: `cup_mask`, `beta_rows` and `linking_mask`."""
+    Besides the mod-2 reduction it holds the connected blocks of b, each
+    with its Smith form, the mod-2 kernel basis and, as bitmasks over that
+    basis, the verdict data of each basis class: `cup_mask`, `beta_rows`
+    and `linking_mask`."""
 
     b: IntMatrix
     bbar: GF2Matrix
-    smith: SmithDecomposition
+    blocks: tuple[Block, ...]
 
     @classmethod
     def of(cls, b: IntMatrix) -> "Analysis":
         if not b.is_symmetric:
             raise DimensionError("linking matrix must be symmetric")
-        return cls(b, GF2Matrix.from_int_matrix(b), smith_normal_form(b))
+        blocks = []
+        for index in connected_blocks(b):
+            sub = principal_submatrix(b, index)
+            blocks.append(Block(index, sub, smith_normal_form(sub)))
+        return cls(b, GF2Matrix.from_int_matrix(b), tuple(blocks))
 
     @cached_property
     def basis(self) -> tuple[GF2Vector, ...]:
@@ -165,33 +196,49 @@ class Analysis:
 
     @cached_property
     def homology(self) -> AbelianGroup:
-        """H_1 of the surgered manifold, from the Smith form."""
-        return self.smith.cokernel()
+        """H_1 of the surgered manifold: the direct sum of the cokernels of
+        the blocks, from the diagonals of their Smith forms."""
+        return diagonal_cokernel(
+            [d for block in self.blocks for d in block.smith.diagonal])
 
     @cached_property
     def _basis_classes(self) -> tuple[tuple, ...]:
-        """(lift, Y, order of Y, c, triple cup) of each basis class, where
-        (order, c) = smith.reduce(Y)."""
-        b = self.b
+        """(t, lift, Y, order of Y, c, triple cup) of each basis class.
+
+        The class lies in block t, the block of its free column, since
+        elimination mod 2 never mixes rows of two blocks.  lift and Y are
+        restricted to that block, where B X vanishes outside it, and
+        (order, c) = blocks[t].smith.reduce(Y)."""
+        owner = [0] * self.b.rows
+        for t, block in enumerate(self.blocks):
+            for i in block.index:
+                owner[i] = t
         rows = []
-        for v in self.basis:
-            lift = v.to_bits()
+        for v, f in zip(self.basis, self.free_columns):
+            t = owner[f]
+            block = self.blocks[t]
+            lift = tuple(v.bits >> i & 1 for i in block.index)
+            if sum(lift) != v.bits.bit_count():
+                raise InvariantViolation(
+                    f"mod-2 kernel basis class {list(v.to_bits())} leaves "
+                    f"the block of its free column {f}")
             try:
-                y = bockstein_representative(b, lift)
-                cup = triple_cup(b, lift)
+                y = bockstein_representative(block.b, lift)
+                cup = triple_cup(block.b, lift)
             except ValueError as exc:
                 # the basis comes from the mod-2 kernel: an odd B X or
                 # X^T B X is a fault of this program, not of its input
                 raise InvariantViolation(
-                    f"mod-2 kernel basis class {list(lift)}: {exc}") from exc
+                    f"mod-2 kernel basis class {list(v.to_bits())}: {exc}"
+                ) from exc
             # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
-            order, coeffs = self.smith.reduce(y)
+            order, coeffs = block.smith.reduce(y)
             if order not in (1, 2):
                 raise InvariantViolation(
                     f"Bockstein representative has order {order} in "
                     "coker(B), not 1 or 2"
                 )
-            rows.append((lift, y, order, coeffs, cup))
+            rows.append((t, lift, y, order, coeffs, cup))
         return tuple(rows)
 
     @cached_property
@@ -202,12 +249,16 @@ class Analysis:
 
     @cached_property
     def beta_rows(self) -> tuple[int, ...]:
-        """Entry i: the Bockstein image of basis class i in coker(B)[2], bit
-        j set when its order is 2 and c_j is odd."""
+        """Entry i: the Bockstein image of basis class i in coker(B)[2], the
+        direct sum of the blocks' coker[2].  Block t's Smith coordinates
+        start at bit offsets[t]; bit offsets[t] + j is set when the order
+        is 2 and c_j is odd."""
+        offsets = tuple(accumulate(
+            (len(block.index) for block in self.blocks), initial=0))
         return tuple(
-            sum((cj & 1) << j for j, cj in enumerate(coeffs))
+            sum((cj & 1) << j for j, cj in enumerate(coeffs)) << offsets[t]
             if order == 2 else 0
-            for _, _, order, coeffs, _ in self._basis_classes
+            for t, _, _, order, coeffs, _ in self._basis_classes
         )
 
     @cached_property
@@ -215,11 +266,13 @@ class Analysis:
         """Bit i: the self-linking of basis class i is 1/2.
 
         Each value is lk(Y, Y) = (z . Y)/n for an exact solution z of
-        B z = nY, checked against the quarter form (1/4) X^T B X and the
-        triple cup of the class."""
+        B z = nY in the block of the class, checked against the quarter form
+        (1/4) X^T B X and the triple cup of the class."""
         mask = 0
-        for i, (lift, y, order, coeffs, cup) in enumerate(self._basis_classes):
-            z = checked_solution(self.b, self.smith, y, order, coeffs)
+        for i, (t, lift, y, order, coeffs, cup) in enumerate(
+                self._basis_classes):
+            block = self.blocks[t]
+            z = checked_solution(block.b, block.smith, y, order, coeffs)
             linking = QmodZ.from_fraction(Fraction(_dot(z, y), order))
             expected = QmodZ.from_fraction(Fraction(2 * _dot(lift, y), 4))
             if linking != expected:

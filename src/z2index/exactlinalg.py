@@ -10,7 +10,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 
 
@@ -74,13 +75,7 @@ class IntMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        e = self.entries
-        return all(
-            e[i][j] == e[j][i]
-            for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
+        return self.is_square and tuple(zip(*self.entries)) == self.entries
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(
@@ -248,12 +243,8 @@ def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
 
     Pivots are chosen with minimal absolute value (with an early exit on
     units) to limit coefficient growth; entries stay exact throughout.
+    Nothing is memoized: each call eliminates b.
     """
-    return _smith_cached(b)
-
-
-@lru_cache(maxsize=512)
-def _smith_cached(b: IntMatrix) -> SmithDecomposition:
     m, n = b.rows, b.cols
     a = b.to_lists()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -347,10 +338,71 @@ def _smith_cached(b: IntMatrix) -> SmithDecomposition:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
     return SmithDecomposition(
-        u=IntMatrix.from_rows(u) if m else IntMatrix(0, 0, ()),
-        s=IntMatrix(m, n, tuple(tuple(r) for r in a)),
-        v=IntMatrix.from_rows(v) if n else IntMatrix(0, 0, ()),
+        u=IntMatrix(m, m, tuple(map(tuple, u))),
+        s=IntMatrix(m, n, tuple(map(tuple, a))),
+        v=IntMatrix(n, n, tuple(map(tuple, v))),
     )
+
+
+def diagonal_cokernel(diagonal) -> AbelianGroup:
+    """Z^m / im(diag(d_1, ..., d_m)), the direct sum of the Z/d_i.
+
+    The entries need not form a divisor chain: zeros add to the free rank,
+    units vanish, and one gcd/lcm sweep turns the rest into invariant
+    factors, since Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  So the diagonals
+    of the Smith forms of the blocks of a block-diagonal matrix give its
+    cokernel.
+    """
+    factors = [abs(d) for d in diagonal if d not in (0, 1, -1)]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, c = factors[i], factors[j]
+            g = gcd(a, c)
+            factors[i], factors[j] = g, a // g * c
+    return AbelianGroup(
+        invariant_factors=tuple(f for f in factors if f != 1),
+        free_rank=sum(1 for d in diagonal if d == 0),
+    )
+
+
+def connected_blocks(b: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """The connected blocks of a square matrix b: i and j share a block
+    when b[i][j] != 0, and a block holds whatever that joins.  So b is
+    block-diagonal on them, up to a permutation.
+
+    Each block lists its indices in ascending order; blocks come in the
+    order of their least index.  A zero row is a block of its own.
+    """
+    if not b.is_square:
+        raise DimensionError("connected_blocks needs a square matrix")
+    parent = list(range(b.rows))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    columns = range(b.cols)
+    for i, row in enumerate(b.entries):
+        for j in compress(columns, row):
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    blocks: dict[int, list[int]] = {}
+    for i in range(b.rows):
+        blocks.setdefault(root(i), []).append(i)
+    return tuple(map(tuple, blocks.values()))
+
+
+def principal_submatrix(b: IntMatrix, index) -> IntMatrix:
+    """The rows and columns of b at the indices in index, in that order;
+    b itself, not a copy, when index is every index of b in order."""
+    index = tuple(index)
+    if index == tuple(range(b.rows)) and b.is_square:
+        return b
+    rows = b.entries
+    return IntMatrix(len(index), len(index), tuple(
+        tuple(rows[i][j] for j in index) for i in index))
 
 
 def cokernel_structure(b: IntMatrix) -> AbelianGroup:

@@ -274,6 +274,9 @@ class TestOneAnalysisPerDocument:
     ])
     def test_one_kernel_and_one_smith_form(self, tmp_path, monkeypatch,
                                            flags, code):
+        """One GF(2) kernel of the whole matrix per document, and one Smith
+        form per connected block: each block's submatrix exactly once, and
+        never the whole matrix."""
         kernels = _count_calls(monkeypatch, "gf2_kernel_basis")
         smith_forms = _count_calls(monkeypatch, "smith_normal_form")
         path = write_doc(tmp_path, {"matrix": [
@@ -281,4 +284,7 @@ class TestOneAnalysisPerDocument:
             [2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 6, 2], [0, 0, 0, 0, 2, 8]]})
         assert run(["analyze", path, *flags])[0] == code
         assert len(kernels) == 1
-        assert len(smith_forms) == 1
+        assert kernels[0][0].rows == 6
+        # the blocks are {0, 3}, {1}, {2} and {4, 5}
+        assert [m.to_lists() for (m,) in smith_forms] == [
+            [[2, 2], [2, 0]], [[4]], [[-2]], [[6, 2], [2, 8]]]

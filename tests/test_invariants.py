@@ -7,11 +7,12 @@ import z2index
 import z2index.borsuk as borsuk
 import z2index.exactlinalg as exactlinalg
 import z2index.surgery as surgery
-from z2index.borsuk import Analysis, classify_class
+from z2index.borsuk import Analysis, Block, classify_class
 from z2index.exactlinalg import (
     IntMatrix,
     InvariantViolation,
     SmithDecomposition,
+    smith_normal_form,
     solve_integral,
 )
 from z2index.homology import CoverClass, torsion_linking
@@ -63,14 +64,30 @@ def test_wrong_decomposition_fails_classifier(monkeypatch):
 
 
 def test_analysis_rejects_wrong_order():
-    # u = [[1]] with s = [[1]] claims coker is 0: Y = -2 would vanish, and the
-    # exact check of z against B z = Y catches it
-    b = mat([[-4]])
-    bad = Analysis(b, Analysis.of(b).bbar,
-                   SmithDecomposition(u=mat([[1]]), s=mat([[1]]),
-                                      v=mat([[1]])))
+    # u = [[1]] with s = [[1]] claims the block [[-4]] has cokernel 0: Y = -2
+    # would vanish, and the exact check of z against B z = Y catches it
+    b = mat([[-4, 0], [0, 2]])
+    good = Analysis.of(b)
+    wrong = Block((0,), mat([[-4]]),
+                  SmithDecomposition(u=mat([[1]]), s=mat([[1]]),
+                                     v=mat([[1]])))
+    bad = Analysis(b, good.bbar, (wrong, good.blocks[1]))
     with pytest.raises(InvariantViolation):
-        bad.classify(CoverClass.from_bits((1,)))
+        bad.classify(CoverClass.from_bits((1, 0)))
+    # the class in the other block meets only that block's Smith form
+    assert not bad.classify(CoverClass.from_bits((0, 1)),
+                            crosscheck=False).beta_vanishes
+
+
+def test_analysis_rejects_a_class_that_leaves_its_block():
+    # b is one block, and its mod-2 kernel class (1, 1) spans both indices;
+    # blocks claimed as {0} and {1} would split it
+    b = mat([[1, 1], [1, 1]])
+    split = tuple(Block((i,), mat([[1]]), smith_normal_form(mat([[1]])))
+                  for i in range(2))
+    bad = Analysis(b, Analysis.of(b).bbar, split)
+    with pytest.raises(InvariantViolation, match="leaves the block"):
+        bad.classify(CoverClass.from_bits((1, 1)), crosscheck=False)
 
 
 def test_lens_determinant_check(monkeypatch):
