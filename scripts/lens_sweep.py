@@ -15,7 +15,7 @@ from math import gcd
 
 from z2index.borsuk import classify_all
 from z2index.catalog import lens_rule_index
-from z2index.surgery import lens_presentation, linking_matrix
+from z2index.surgery import lens_presentation
 
 
 def main():
@@ -34,12 +34,12 @@ def main():
             qs = qs[:1]
         for q in qs:
             pres = lens_presentation(p, q)
-            reports = classify_all(linking_matrix(pres)).reports
+            reports = classify_all(pres.matrix).reports
             index = reports[0].index if reports else "-"
             expected = rule if rule is not None else "-"
             marker = "" if index == expected else "  MISMATCH"
             mismatches += bool(marker)
-            print(f"{p:>4} {q:>4} {pres.component_count:>6} "
+            print(f"{p:>4} {q:>4} {pres.matrix.rows:>6} "
                   f"{index!s:>6} {expected!s:>5}{marker}")
     print(f"{mismatches} mismatches")
     return 1 if mismatches else 0

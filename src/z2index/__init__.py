@@ -23,6 +23,7 @@ from .exactlinalg import (
     congruence_transform,
     gf2_kernel_basis,
     is_in_integral_image,
+    order_in_cokernel,
     smith_normal_form,
     solve_integral,
     solve_rational,
@@ -32,7 +33,6 @@ from .homology import (
     QmodZ,
     cover_classes,
     first_homology,
-    order_in_cokernel,
     torsion_linking,
 )
 from .surgery import (
@@ -41,7 +41,6 @@ from .surgery import (
     connected_sum,
     empty_presentation,
     lens_presentation,
-    linking_matrix,
     parse_presentation,
     serialize_presentation,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "is_in_integral_image",
     "lens_presentation",
     "lens_rule_index",
-    "linking_matrix",
     "lookup",
     "order_in_cokernel",
     "parse_presentation",

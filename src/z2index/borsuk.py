@@ -84,7 +84,6 @@ class IndexReport:
     triple_cup: int
     self_linking: QmodZ | None
     index: int
-    bu_holds_for: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,6 @@ class ClassificationResult:
     truncated: bool
     note: str | None = None
     analysis: Analysis | None = field(default=None, compare=False, repr=False)
-
-
-def lift_class(x: CoverClass) -> tuple[int, ...]:
-    """The canonical {0,1}-entry integral lift of a mod-2 class."""
-    return x.bits()
 
 
 def bockstein_representative(b: IntMatrix, lift) -> tuple[int, ...]:
@@ -331,7 +325,6 @@ class Analysis:
             triple_cup=cup,
             self_linking=self_linking,
             index=index,
-            bu_holds_for=tuple(range(1, index + 1)),
         )
 
     def classify(self, x: CoverClass, *, crosscheck: bool = True) -> IndexReport:

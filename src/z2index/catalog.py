@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .surgery import SurgeryPresentation, lens_presentation
+from .exactlinalg import IntMatrix
+from .surgery import SurgeryPresentation
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         index=3,
         source="Borsuk (1933), the classical Borsuk-Ulam theorem",
         computable_by_surgery=True,
-        surgery_presentation=SurgeryPresentation((-2,), (), "L(2,1)"),
+        surgery_presentation=SurgeryPresentation(
+            IntMatrix.from_rows([[-2]]), "L(2,1)"),
         cover_class_bits=(1,),
     ),
     CatalogEntry(
@@ -47,7 +49,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         index=2,
         source="Stolz (1989), level of real projective spaces",
         computable_by_surgery=True,
-        surgery_presentation=SurgeryPresentation((-4,), (), "L(4,1)"),
+        surgery_presentation=SurgeryPresentation(
+            IntMatrix.from_rows([[-4]]), "L(4,1)"),
         cover_class_bits=(1,),
     ),
     CatalogEntry(
@@ -58,7 +61,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         index=1,
         source="Tao (1962), free involutions on S^1 x S^2",
         computable_by_surgery=True,
-        surgery_presentation=SurgeryPresentation((0,), (), "S^1xS^2"),
+        surgery_presentation=SurgeryPresentation(
+            IntMatrix.from_rows([[0]]), "S^1xS^2"),
         cover_class_bits=(1,),
     ),
     CatalogEntry(
@@ -90,7 +94,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         index=2,
         source="Tao (1962); linking-matrix computation with B = diag(2,2)",
         computable_by_surgery=True,
-        surgery_presentation=SurgeryPresentation((2, 2), (0,), "RP^3#RP^3"),
+        surgery_presentation=SurgeryPresentation(
+            IntMatrix.from_rows([[2, 0], [0, 2]]), "RP^3#RP^3"),
         cover_class_bits=(1, 1),
     ),
     CatalogEntry(
@@ -151,21 +156,3 @@ def lens_rule_index(p: int):
         return None
     return 3 if p % 4 == 2 else 2
 
-
-def lens_entry(p: int, q: int) -> CatalogEntry:
-    """On-demand entry for a lens space from the stored family rule."""
-    index = lens_rule_index(p)
-    if index is None:
-        raise ValueError(f"L({p},{q}) with odd p has no connected double cover")
-    cover = "S^3" if p == 2 else f"L({p // 2},{q % (p // 2)})"
-    return CatalogEntry(
-        cover_manifold=cover,
-        quotient_manifold=f"L({p},{q})",
-        involution_note="deck transformation of the unique connected "
-                        "double cover",
-        index=index,
-        source="lens family rule: index 3 iff p = 2 mod 4 for even p",
-        computable_by_surgery=True,
-        surgery_presentation=lens_presentation(p, q),
-        cover_class_bits=None,
-    )

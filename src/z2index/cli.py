@@ -37,7 +37,6 @@ from .surgery import (
     PresentationError,
     SurgeryPresentation,
     lens_presentation,
-    linking_matrix,
     parse_presentation,
 )
 from .selftest import run_all
@@ -67,7 +66,7 @@ def _class_doc(report: IndexReport) -> dict:
             None if report.self_linking is None else str(report.self_linking)
         ),
         "index": report.index,
-        "bu_holds_for": report.bu_holds_for,
+        "bu_holds_for": tuple(range(1, report.index + 1)),
     }
 
 
@@ -179,7 +178,7 @@ def _emit(doc: dict, fmt: str, out) -> None:
 
 def _classify_presentation(pres: SurgeryPresentation, args,
                            warnings: list[str]) -> dict:
-    b = linking_matrix(pres)
+    b = pres.matrix
     result = classify_all(b, cap=args.cap, crosscheck=not args.no_crosscheck)
     if result.truncated and not args.allow_truncate:
         raise CapExceededError(
@@ -243,10 +242,7 @@ def cmd_catalog(args, out) -> int:
         edoc = dataclasses.asdict(e)
         pres = e.surgery_presentation
         edoc["surgery_presentation"] = (
-            None if pres is None else linking_matrix(pres).to_lists()
-        )
-        edoc["cover_class_bits"] = (
-            None if e.cover_class_bits is None else list(e.cover_class_bits)
+            None if pres is None else pres.matrix.to_lists()
         )
         doc["entries"].append(edoc)
     if args.format == "json":
@@ -261,8 +257,7 @@ def cmd_catalog(args, out) -> int:
             print(f"  source: {e.source}", file=out)
             if e.computable_by_surgery:
                 print(f"  surgery matrix: "
-                      f"{linking_matrix(e.surgery_presentation).to_lists()}",
-                      file=out)
+                      f"{e.surgery_presentation.matrix.to_lists()}", file=out)
     return EXIT_OK
 
 

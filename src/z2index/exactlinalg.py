@@ -223,20 +223,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return not self.invariant_factors and self.free_rank == 0
 
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
-
-    def describe(self) -> str:
-        parts = [f"Z/{f}" for f in self.invariant_factors]
-        parts += ["Z"] * self.free_rank
-        return " + ".join(parts) if parts else "0"
-
 
 def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: u @ b @ v == s.
@@ -589,7 +575,3 @@ def gf2_kernel_basis(bbar: GF2Matrix) -> list[GF2Vector]:
                 bits |= 1 << c
         basis.append(GF2Vector(n, bits))
     return basis
-
-
-def gf2_rank(bbar: GF2Matrix) -> int:
-    return bbar.cols - len(gf2_kernel_basis(bbar))

@@ -1,9 +1,10 @@
 """Framed-link surgery presentations and their linking matrices.
 
-A presentation records framings (diagonal) and pairwise linking numbers
-(off-diagonal) of a framed link; the surgered 3-manifold only enters
-through the resulting symmetric linking matrix.  Input is the matrix
-itself or a named preset; link diagrams are out of scope.
+A `SurgeryPresentation(matrix, label)` is the symmetric linking matrix of
+a framed link, framings on the diagonal and pairwise linking numbers off
+it, with an optional label; the surgered 3-manifold only enters through
+that matrix.  Input is the matrix itself or a named preset; link diagrams
+are out of scope.
 """
 
 from __future__ import annotations
@@ -21,74 +22,29 @@ class PresentationError(ValueError):
 
 @dataclass(frozen=True)
 class SurgeryPresentation:
-    """Framed link data: framings a_ii and linking numbers a_ij = a_ji.
+    """Framed link data as its linking matrix: framings a_ii on the
+    diagonal, linking numbers a_ij = a_ji off it.
 
-    Off-diagonal linking numbers are stored as the upper triangle in
-    row-major order, length m*(m-1)/2.
-    """
+    The matrix is checked to be square and symmetric here, once."""
 
-    framings: tuple[int, ...]
-    linkings: tuple[int, ...] = ()
+    matrix: IntMatrix
     label: str | None = None
 
     def __post_init__(self):
-        m = len(self.framings)
-        if len(self.linkings) != m * (m - 1) // 2:
-            raise PresentationError(
-                f"expected {m * (m - 1) // 2} linking numbers for "
-                f"{m} components, got {len(self.linkings)}"
-            )
-
-    @property
-    def component_count(self) -> int:
-        return len(self.framings)
-
-    def linking(self, i: int, j: int) -> int:
-        """lk(L_i, L_j) for i != j; the framing for i == j."""
-        m = self.component_count
-        if not (0 <= i < m and 0 <= j < m):
-            raise IndexError("component index out of range")
-        if i == j:
-            return self.framings[i]
-        if i > j:
-            i, j = j, i
-        # offset of (i, j) in the row-major upper triangle
-        return self.linkings[i * (2 * m - i - 1) // 2 + (j - i - 1)]
-
-    @classmethod
-    def from_matrix(cls, matrix, label: str | None = None) -> "SurgeryPresentation":
-        rows = [list(r) for r in matrix]
-        m = len(rows)
-        for r in rows:
-            if len(r) != m:
-                raise PresentationError(
-                    f"matrix is not square: {m} rows but a row of length {len(r)}"
-                )
-        for i in range(m):
-            for j in range(m):
-                if rows[i][j] != rows[j][i]:
-                    raise PresentationError(
-                        f"matrix is not symmetric at ({i},{j})"
-                    )
-        framings = tuple(rows[i][i] for i in range(m))
-        linkings = tuple(
-            rows[i][j] for i in range(m) for j in range(i + 1, m)
-        )
-        return cls(framings, linkings, label)
+        b = self.matrix
+        if not b.is_square:
+            raise PresentationError(f"matrix is not square: {b.rows} rows "
+                                    f"but a row of length {b.cols}")
+        if not b.is_symmetric:
+            i, j = next((i, j) for i, row in enumerate(b.entries)
+                        for j, e in enumerate(row) if e != b.entries[j][i])
+            raise PresentationError(f"matrix is not symmetric at ({i},{j})")
 
 
 def linking_matrix(pres: SurgeryPresentation) -> IntMatrix:
-    """The symmetric linking matrix: framings on the diagonal, linking
-    numbers off it."""
-    m = pres.component_count
-    rows = [[0] * m for _ in range(m)]
-    pos = 0
-    for i in range(m):
-        rows[i][i] = pres.framings[i]
-        for j in range(i + 1, m):
-            rows[i][j] = rows[j][i] = pres.linkings[pos]
-            pos += 1
-    return IntMatrix(m, m, tuple(tuple(r) for r in rows))
+    """The symmetric linking matrix of pres, which is `pres.matrix`; kept
+    for the benchmark worker, `perfbench/worker.py`, which imports it."""
+    return pres.matrix
 
 
 def negative_continued_fraction(p: int, q: int) -> list[int]:
@@ -115,12 +71,13 @@ def lens_presentation(p: int, q: int) -> SurgeryPresentation:
         )
     coeffs = negative_continued_fraction(p, q)
     n = len(coeffs)
-    framings = tuple(-a for a in coeffs)
-    linkings = tuple(
-        1 if j == i + 1 else 0
-        for i in range(n) for j in range(i + 1, n)
-    )
-    pres = SurgeryPresentation(framings, linkings, label=f"L({p},{q})")
+    rows = []
+    for i, a in enumerate(coeffs):
+        # the band 1, -a_i, 1 in a row padded by one column on each side
+        row = [0] * (n + 2)
+        row[i:i + 3] = 1, -a, 1
+        rows.append(tuple(row[1:-1]))
+    pres = SurgeryPresentation(IntMatrix(n, n, tuple(rows)), f"L({p},{q})")
     # |det| of the chain by the continuant recurrence for tridiagonal
     # matrices: d_k = a_k d_{k-1} - d_{k-2}
     d_prev, d = 1, coeffs[0]
@@ -135,7 +92,7 @@ def lens_presentation(p: int, q: int) -> SurgeryPresentation:
 
 def empty_presentation(label: str | None = "S^3") -> SurgeryPresentation:
     """The empty link: surgery gives the 3-sphere."""
-    return SurgeryPresentation((), (), label)
+    return SurgeryPresentation(IntMatrix(0, 0, ()), label)
 
 
 def connected_sum(*parts: SurgeryPresentation) -> SurgeryPresentation:
@@ -146,40 +103,34 @@ def connected_sum(*parts: SurgeryPresentation) -> SurgeryPresentation:
     that have one are joined by " # ", and when none has one the label is
     that of the last part (None for no parts).
     """
-    after = sum(p.component_count for p in parts)
-    linkings = []
+    n = sum(p.matrix.rows for p in parts)
+    rows = []
+    before = 0
     for p in parts:
-        m = p.component_count
-        after -= m
-        # row i of p's upper triangle, then zeros for the components of the
-        # later parts
-        zeros = (0,) * after
-        start = 0
-        for i in range(m):
-            end = start + m - i - 1
-            linkings += p.linkings[start:end]
-            linkings += zeros
-            start = end
+        # each row of p between zeros for the components of the other parts
+        left, right = (0,) * before, (0,) * (n - before - p.matrix.rows)
+        rows += [left + row + right for row in p.matrix.entries]
+        before += p.matrix.rows
     labels = [p.label for p in parts if p.label]
     if labels:
         label = " # ".join(labels)
     else:
         label = parts[-1].label if parts else None
-    framings = tuple(f for p in parts for f in p.framings)
-    return SurgeryPresentation(framings, tuple(linkings), label)
+    return SurgeryPresentation(IntMatrix(n, n, tuple(rows)), label)
 
 
-_PRESETS = {"s3", "lens", "connected_sum"}
+# each preset with the keys, besides "label", that its document may have
+_PRESETS = {"s3": {"preset"}, "lens": {"preset", "p", "q"},
+            "connected_sum": {"preset", "parts"}}
 
 
-def parse_presentation(text: str, *, strict: bool = True) -> SurgeryPresentation:
+def parse_presentation(text: str) -> SurgeryPresentation:
     """Parse the JSON input document.
 
     The document is an object with exactly one of "matrix" (square,
     symmetric, integer) or "preset" ("s3" | "lens" with p, q |
     "connected_sum" with parts), plus an optional "label".  Unknown keys
-    are rejected.  With strict=False an asymmetric matrix is symmetrized
-    from its upper triangle instead of rejected.
+    are rejected.
     """
     try:
         doc = json.loads(text)
@@ -187,20 +138,20 @@ def parse_presentation(text: str, *, strict: bool = True) -> SurgeryPresentation
         raise PresentationError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise PresentationError("input nested too deeply to parse") from None
-    return _presentation_from_doc(doc, strict=strict)
+    return _presentation_from_doc(doc)
 
 
 _END = object()
 
 
-def _presentation_from_doc(doc, *, strict: bool) -> SurgeryPresentation:
+def _presentation_from_doc(doc) -> SurgeryPresentation:
     # Nested connected sums are read with an explicit stack, so that their
     # depth is bounded by memory and not by the recursion limit.  Each open
     # sum is (label, iterator over the parts still to read, parts read), and
     # its parts are joined in one pass when the last one has been read.
     stack = []
     while True:
-        pres = _read_level(doc, stack, strict=strict)
+        pres = _read_level(doc, stack)
         # hand finished presentations to the open sums until one of them
         # has a part left to read
         while True:
@@ -218,7 +169,7 @@ def _presentation_from_doc(doc, *, strict: bool) -> SurgeryPresentation:
                 pres = replace(pres, label=label)
 
 
-def _read_level(doc, stack: list, *, strict: bool):
+def _read_level(doc, stack: list):
     """The presentation of a document other than a connected sum.  A
     connected sum is pushed on `stack` unread, and None returned."""
     if not isinstance(doc, dict):
@@ -235,7 +186,7 @@ def _read_level(doc, stack: list, *, strict: bool):
         extra = keys - {"matrix"}
         if extra:
             raise PresentationError(f"unknown keys: {sorted(extra)}")
-        return _presentation_from_matrix(doc["matrix"], label, strict=strict)
+        return _read_matrix(doc["matrix"], label)
     if "preset" in doc:
         return _presentation_from_preset(doc, keys, label, stack)
     raise PresentationError('missing "matrix" or "preset"')
@@ -248,7 +199,7 @@ def _check_int(e):
     return e
 
 
-def _presentation_from_matrix(matrix, label, *, strict: bool) -> SurgeryPresentation:
+def _read_matrix(matrix, label) -> SurgeryPresentation:
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise PresentationError('"matrix" must be an array of arrays')
     m = len(matrix)
@@ -259,11 +210,8 @@ def _presentation_from_matrix(matrix, label, *, strict: bool) -> SurgeryPresenta
             )
         for e in r:
             _check_int(e)
-    if not strict:
-        matrix = [
-            [matrix[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)
-        ]
-    return SurgeryPresentation.from_matrix(matrix, label)
+    return SurgeryPresentation(IntMatrix(m, m, tuple(map(tuple, matrix))),
+                               label)
 
 
 def _presentation_from_preset(doc, keys, label, stack: list):
@@ -272,22 +220,16 @@ def _presentation_from_preset(doc, keys, label, stack: list):
         raise PresentationError(
             f"unknown preset {preset!r}; expected one of {sorted(_PRESETS)}"
         )
+    extra = keys - _PRESETS[preset]
+    if extra:
+        raise PresentationError(f"unknown keys: {sorted(extra)}")
     if preset == "s3":
-        extra = keys - {"preset"}
-        if extra:
-            raise PresentationError(f"unknown keys: {sorted(extra)}")
         pres = empty_presentation()
     elif preset == "lens":
-        extra = keys - {"preset", "p", "q"}
-        if extra:
-            raise PresentationError(f"unknown keys: {sorted(extra)}")
         if "p" not in doc or "q" not in doc:
             raise PresentationError('preset "lens" needs "p" and "q"')
         pres = lens_presentation(_check_int(doc["p"]), _check_int(doc["q"]))
     else:
-        extra = keys - {"preset", "parts"}
-        if extra:
-            raise PresentationError(f"unknown keys: {sorted(extra)}")
         parts = doc.get("parts")
         if not isinstance(parts, list):
             raise PresentationError('preset "connected_sum" needs a "parts" list')
@@ -300,7 +242,7 @@ def _presentation_from_preset(doc, keys, label, stack: list):
 
 def serialize_presentation(pres: SurgeryPresentation) -> str:
     """Canonical JSON form; parse_presentation inverts it exactly."""
-    doc: dict = {"matrix": linking_matrix(pres).to_lists()}
+    doc: dict = {"matrix": pres.matrix.to_lists()}
     if pres.label is not None:
         doc["label"] = pres.label
     return json.dumps(doc)

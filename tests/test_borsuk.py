@@ -11,9 +11,9 @@ from z2index.borsuk import (
     classify_all,
     classify_class,
     diagonal_index,
-    lift_class,
     triple_cup,
 )
+from z2index.cli import _class_doc
 from z2index.exactlinalg import IntMatrix, congruence_transform
 from z2index.homology import CoverClass, cover_classes
 from z2index.selftest import (
@@ -29,8 +29,11 @@ def mat(rows):
 
 class TestLiftAndBockstein:
     def test_lift_is_bits(self):
-        assert lift_class(CoverClass.from_bits((1,))) == (1,)
-        assert lift_class(CoverClass.from_bits((1, 0, 1))) == (1, 0, 1)
+        assert CoverClass.from_bits((1,)).bits() == (1,)
+        assert CoverClass.from_bits((1, 0, 1)).bits() == (1, 0, 1)
+        x = CoverClass.from_bits((1, 0, 1))
+        assert classify_class(mat([[2, 0, 0], [0, 1, 0], [0, 0, 2]]),
+                              x).lift == (1, 0, 1)
 
     def test_bockstein_examples(self):
         assert bockstein_representative(mat([[-4]]), (1,)) == (-2,)
@@ -58,7 +61,7 @@ class TestClassify:
         report = classify_class(mat([[-2]]), CoverClass.from_bits((1,)))
         assert report.index == 3
         assert report.self_linking.value == Fraction(1, 2)
-        assert report.bu_holds_for == (1, 2, 3)
+        assert _class_doc(report)["bu_holds_for"] == (1, 2, 3)
 
     def test_stolz(self):
         report = classify_class(mat([[-4]]), CoverClass.from_bits((1,)))

@@ -3,7 +3,6 @@ import pytest
 from z2index.borsuk import classify_class
 from z2index.catalog import (
     ENTRIES,
-    lens_entry,
     lens_rule_index,
     lookup,
 )
@@ -68,15 +67,3 @@ class TestLensRule:
         assert lens_rule_index(4) == 2
         assert lens_rule_index(8) == 2
         assert lens_rule_index(5) is None
-
-    def test_lens_entry(self):
-        e = lens_entry(4, 1)
-        assert e.index == 2 and e.quotient_manifold == "L(4,1)"
-        assert e.cover_manifold == "RP^3" or e.cover_manifold == "L(2,1)"
-
-    def test_lens_entry_sphere_cover(self):
-        assert lens_entry(2, 1).cover_manifold == "S^3"
-
-    def test_lens_entry_rejects_odd(self):
-        with pytest.raises(ValueError):
-            lens_entry(5, 2)

@@ -54,6 +54,13 @@ class TestAnalyze:
         code, _ = run(["analyze", path])
         assert code == 2
 
+    def test_asymmetric_entry_is_named(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {"matrix": [[1, 2], [3, 4]]})
+        code, text = run(["analyze", path])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: matrix is not symmetric at (0,1)\n")
+
     def test_missing_file_exits_2(self):
         code, _ = run(["analyze", "/nonexistent/input.json"])
         assert code == 2

@@ -1,10 +1,12 @@
-"""Golden output: `lens` and `analyze` print byte-identical reports.
+"""Golden output: `lens`, `analyze` and `catalog` print byte-identical
+reports.
 
 Each case is one CLI call; `golden_digests.json` holds the SHA-256 digest of
 its stdout, in both `--format json` and text.  The corpus is every coprime
 lens pair with p <= 40, the surgery-computable catalog matrices, seeded
-random symmetric matrices (singular and all-even ones included) and a few
-presets and flags.  Regenerate the digests, only after checking that a
+random symmetric matrices (singular and all-even ones included), a few
+presets and flags, and a `catalog` lookup of every alias and of one unknown
+name.  Regenerate the digests, only after checking that a
 change of output is intended, with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from z2index.catalog import ENTRIES
+from z2index.catalog import _ALIASES, ENTRIES
 from z2index.cli import main
 from z2index.surgery import linking_matrix
 
@@ -87,6 +89,10 @@ def _cases():
         for fmt in FORMATS:
             cases.append((f"analyze {name} {fmt}",
                           ["analyze", "{path}", "--format", fmt, *flags]))
+    for name in [*_ALIASES, "klein bottle"]:
+        for fmt in FORMATS:
+            cases.append((f"catalog {name} {fmt}",
+                          ["catalog", name, "--format", fmt]))
     return cases
 
 
@@ -119,7 +125,7 @@ def test_corpus_matches_committed_cases(digests):
         json.loads(DIGESTS.read_text(encoding="utf-8")))
 
 
-@pytest.mark.parametrize("command", ["lens", "analyze"])
+@pytest.mark.parametrize("command", ["lens", "analyze", "catalog"])
 def test_output_is_byte_identical(digests, command):
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     changed = [name for name, digest in digests.items()

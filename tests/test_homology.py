@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2index.exactlinalg import DimensionError, IntMatrix
+from z2index.exactlinalg import DimensionError, IntMatrix, order_in_cokernel
 from z2index.homology import (
     CoverClass,
     NonTorsionError,
     QmodZ,
     cover_classes,
     first_homology,
-    order_in_cokernel,
     torsion_linking,
 )
 from z2index.selftest import random_symmetric_matrix

@@ -1,6 +1,9 @@
 """Internal checks raise InvariantViolation, not assert, so that they hold
 under `python -O`; nested input is parsed without recursion."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import z2index
@@ -27,6 +30,16 @@ from z2index.surgery import (
 
 def mat(rows):
     return IntMatrix.from_rows(rows)
+
+
+def test_no_assert_statement_in_z2index():
+    # `python -O` strips assert statements, so none may guard an invariant
+    found = []
+    for path in sorted(Path(z2index.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def wrong_decomposition(v):
@@ -106,8 +119,8 @@ def nested_sum(depth, leaf):
 
 def test_deep_nesting_is_parsed_without_recursion():
     pres = surgery._presentation_from_doc(
-        nested_sum(3000, {"preset": "lens", "p": 6, "q": 1}), strict=True)
-    assert pres.framings == (-6,)
+        nested_sum(3000, {"preset": "lens", "p": 6, "q": 1}))
+    assert pres.matrix == mat([[-6]])
     assert pres.label == "S^3 # " * 3000 + "L(6,1)"
 
 
@@ -125,15 +138,15 @@ def test_unhashable_preset_is_an_input_error():
 
 
 def test_connected_sum_entries():
-    a = SurgeryPresentation((1, 2, 3), (4, 5, 6), "a")
-    b = SurgeryPresentation((7, 8), (9,), "b")
+    a = SurgeryPresentation(mat([[1, 4, 5], [4, 2, 6], [5, 6, 3]]), "a")
+    b = SurgeryPresentation(mat([[7, 9], [9, 8]]), "b")
     s = connected_sum(a, b)
     for i in range(5):
         for j in range(5):
             if i < 3 and j < 3:
-                want = a.linking(i, j)
+                want = a.matrix.entries[i][j]
             elif i >= 3 and j >= 3:
-                want = b.linking(i - 3, j - 3)
+                want = b.matrix.entries[i - 3][j - 3]
             else:
                 want = 0
-            assert s.linking(i, j) == want
+            assert s.matrix.entries[i][j] == want

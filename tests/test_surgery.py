@@ -20,16 +20,23 @@ from z2index.surgery import (
 )
 
 
+def mat(rows):
+    return IntMatrix.from_rows(rows)
+
+
 @st.composite
 def presentations(draw, max_components=5, bound=9):
     m = draw(st.integers(0, max_components))
-    framings = tuple(draw(st.lists(
-        st.integers(-bound, bound), min_size=m, max_size=m)))
-    linkings = tuple(draw(st.lists(
+    upper = iter(draw(st.lists(
         st.integers(-bound, bound),
-        min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2)))
+        min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2)))
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = next(upper)
     label = draw(st.one_of(st.none(), st.text(max_size=8)))
-    return SurgeryPresentation(framings, linkings, label)
+    return SurgeryPresentation(IntMatrix(m, m, tuple(map(tuple, rows))),
+                               label)
 
 
 class TestLinkingMatrix:
@@ -38,11 +45,11 @@ class TestLinkingMatrix:
         assert b.rows == 0 and b.cols == 0
 
     def test_single_unknot(self):
-        pres = SurgeryPresentation((-4,), (), None)
+        pres = SurgeryPresentation(mat([[-4]]), None)
         assert linking_matrix(pres).to_lists() == [[-4]]
 
     def test_unlink(self):
-        pres = SurgeryPresentation((2, 2), (0,), None)
+        pres = SurgeryPresentation(mat([[2, 0], [0, 2]]), None)
         assert linking_matrix(pres).to_lists() == [[2, 0], [0, 2]]
 
     @given(presentations())
@@ -50,10 +57,45 @@ class TestLinkingMatrix:
     def test_always_symmetric(self, pres):
         b = linking_matrix(pres)
         assert b.is_symmetric
-        m = pres.component_count
-        for i in range(m):
-            for j in range(m):
-                assert b.entries[i][j] == pres.linking(i, j)
+        assert b is pres.matrix
+
+
+class TestValidation:
+    """SurgeryPresentation checks its matrix: the one validation point for
+    the parser, the presets and library callers."""
+
+    def test_rejects_non_square(self):
+        with pytest.raises(PresentationError,
+                           match=r"not square: 1 rows but a row of length 2"):
+            SurgeryPresentation(mat([[1, 2]]))
+        with pytest.raises(PresentationError, match="not square"):
+            SurgeryPresentation(IntMatrix(2, 0, ((), ())), "x")
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(PresentationError,
+                           match=r"^matrix is not symmetric at \(0,1\)$"):
+            SurgeryPresentation(mat([[1, 2], [3, 4]]))
+
+    def test_names_the_first_asymmetric_entry(self):
+        b = mat([[0, 0, 0], [0, 0, 5], [0, 4, 0]])
+        with pytest.raises(PresentationError, match=r"at \(1,2\)$"):
+            SurgeryPresentation(b)
+        b = mat([[0, 1, 7], [1, 0, 5], [0, 4, 0]])
+        with pytest.raises(PresentationError, match=r"at \(0,2\)$"):
+            SurgeryPresentation(b)
+
+    @given(presentations(max_components=4), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_every_asymmetric_change(self, pres, data):
+        m = pres.matrix.rows
+        if m < 2:
+            return
+        i = data.draw(st.integers(0, m - 2))
+        j = data.draw(st.integers(i + 1, m - 1))
+        rows = pres.matrix.to_lists()
+        rows[i][j] += data.draw(st.sampled_from((-3, -1, 1, 2)))
+        with pytest.raises(PresentationError, match="not symmetric"):
+            SurgeryPresentation(mat(rows), pres.label)
 
 
 class TestLensPresentation:
@@ -101,13 +143,12 @@ class TestConnectedSum:
         assert g.invariant_factors == (2, 2)
 
     def test_identity(self):
-        pres = SurgeryPresentation((2, 2), (1,), "x")
+        pres = SurgeryPresentation(mat([[2, 1], [1, 2]]), "x")
         summed = connected_sum(pres, empty_presentation(label=None))
-        assert summed.framings == pres.framings
-        assert summed.linkings == pres.linkings
+        assert summed.matrix == pres.matrix
 
     def test_diag_two_two(self):
-        a = SurgeryPresentation((2,), (), None)
+        a = SurgeryPresentation(mat([[2]]), None)
         assert linking_matrix(connected_sum(a, a)).to_lists() == \
             [[2, 0], [0, 2]]
 
@@ -128,12 +169,12 @@ class TestConnectedSum:
 class TestParse:
     def test_matrix_document(self):
         pres = parse_presentation('{"matrix": [[-4]]}')
-        assert pres.component_count == 1 and pres.framings == (-4,)
+        assert pres.matrix == mat([[-4]])
 
     def test_linked_pair(self):
         pres = parse_presentation('{"matrix": [[2, 1], [1, 2]]}')
-        assert pres.component_count == 2
-        assert pres.linking(0, 1) == 1
+        assert pres.matrix.rows == 2
+        assert pres.matrix.entries[0][1] == pres.matrix.entries[1][0] == 1
 
     def test_label(self):
         pres = parse_presentation('{"matrix": [[0]], "label": "zero"}')
@@ -142,11 +183,9 @@ class TestParse:
     def test_rejects_asymmetric(self):
         with pytest.raises(PresentationError, match="symmetric"):
             parse_presentation('{"matrix": [[0, 1], [0, 0]]}')
-
-    def test_symmetrize_when_not_strict(self):
-        pres = parse_presentation('{"matrix": [[0, 1], [0, 0]]}',
-                                  strict=False)
-        assert pres.linking(1, 0) == 1
+        with pytest.raises(PresentationError,
+                           match=r"^matrix is not symmetric at \(0,1\)$"):
+            parse_presentation('{"matrix": [[1, 2], [3, 4]]}')
 
     def test_rejects_malformed_json(self):
         with pytest.raises(PresentationError, match="malformed"):
@@ -172,7 +211,7 @@ class TestParse:
 
     def test_preset_s3(self):
         pres = parse_presentation('{"preset": "s3"}')
-        assert pres.component_count == 0
+        assert pres.matrix.rows == 0
 
     def test_preset_lens(self):
         pres = parse_presentation('{"preset": "lens", "p": 7, "q": 2}')
