@@ -18,29 +18,27 @@ is a linear map K -> coker(B)[2].  The self-linking is, because
 classifies the k basis classes of K once, through the exact path: B X,
 the Smith-form reduction of Y with its order check, the public
 `triple_cup` and, with the cross-check, an exact solution z of B z = 2Y
-and the quarter-form comparison.  It keeps the results as bitmasks over
-the basis.  Everything else that belongs to the presentation (the
-symmetry check, the mod-2 reduction, the Smith forms, the kernel basis) is
-computed there once, too.
+and the quarter-form comparison, and keeps the results as bitmasks over
+the basis.  The rest of the presentation's data (symmetry check, Smith
+forms, kernel basis) is computed there once, too.
 
 B is block-diagonal up to a permutation, with one block per connected
 component of the graph in which i and j are joined when B_ij != 0; a
-connected sum of lens spaces has one block per summand.  Everything above
-splits as a direct sum over the blocks: H_1, K (each kernel basis vector
-lies in the block of its free column), the Bockstein into coker(B)[2] and
-the linking form.  So the elimination, which costs about m^3 on an m x m
-matrix, runs once per block, on blocks of sizes m_1, ..., m_r, for the sum
-of the m_i^3 in place of n^3; one mod-2 elimination of the whole B, which
-is cheap, gives K.  A basis class is reduced by the Smith form of its own
-block, and H_1 is merged from the blocks' invariant factors.  Nothing is
-kept from one presentation to the next.
+connected sum of lens spaces has one block per summand.  H_1, K, the
+Bockstein into coker(B)[2] and the linking form split as direct sums over
+the blocks.  So each elimination runs once per block: the Smith form,
+about m^3 on an m x m block, and the mod-2 elimination, whose kernel
+vectors, embedded in B, are the basis of K.  A basis class is reduced by
+the Smith form of its own block.  Nothing is kept from one presentation
+to the next.
 
-A class is then a mask over the basis, and costs one B X, which gives the
-reported Y and X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is
-the XOR and the parity of the basis masks.  The class checks that B X is
-even, that the trichotomy holds, and that the linearly extended triple
-cup and self-linking equal its own X . Y mod 2, which keeps the
-cross-check off the path of the verdict it checks.
+A class is then a mask over the basis.  It costs one B X, the sum of the
+rows of B at the support of X, which gives the reported Y and
+X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is the XOR and
+the parity of the basis masks.  The class checks that B X is even, so
+that a wrong split into blocks shows, that the trichotomy holds, and that
+the linearly extended triple cup and self-linking equal its own X . Y
+mod 2, which keeps the cross-check off the path of the verdict it checks.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .exactlinalg import (
     AbelianGroup,
@@ -67,7 +65,7 @@ from .exactlinalg import (
     principal_submatrix,
     smith_normal_form,
 )
-from .homology import CoverClass, QmodZ, kernel_span
+from .homology import CoverClass, QmodZ, kernel_span, xor_span
 
 _ZERO = QmodZ(Fraction(0))
 _HALF = QmodZ(Fraction(1, 2))
@@ -128,6 +126,12 @@ def _dot(u, v) -> int:
     return sum(map(operator.mul, u, v))
 
 
+def _row_sum(b: IntMatrix, lift) -> tuple[int, ...]:
+    """The sum of the rows of b at the support of the 0/1 vector X, which
+    is B X for a symmetric b; zeros for the empty support."""
+    return tuple(map(sum, zip(*compress(b.entries, lift)))) or (0,) * b.cols
+
+
 def _parity(word: int) -> int:
     return word.bit_count() & 1
 
@@ -155,13 +159,12 @@ class Block:
 class Analysis:
     """What the classification needs of one presentation, computed once.
 
-    Besides the mod-2 reduction it holds the connected blocks of b, each
-    with its Smith form, the mod-2 kernel basis and, as bitmasks over that
+    It holds the connected blocks of b, each with its Smith form, the
+    mod-2 kernel basis, taken block by block, and, as bitmasks over that
     basis, the verdict data of each basis class: `cup_mask`, `beta_rows`
     and `linking_mask`."""
 
     b: IntMatrix
-    bbar: GF2Matrix
     blocks: tuple[Block, ...]
 
     @classmethod
@@ -172,21 +175,27 @@ class Analysis:
         for index in connected_blocks(b):
             sub = principal_submatrix(b, index)
             blocks.append(Block(index, sub, smith_normal_form(sub)))
-        return cls(b, GF2Matrix.from_int_matrix(b), tuple(blocks))
+        return cls(b, tuple(blocks))
+
+    @cached_property
+    def _block_kernels(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(f, t, lift) of each mod-2 kernel basis vector, ordered by its free
+        column f in b: lift is a vector of `gf2_kernel_basis` of block t.  b
+        is block-diagonal up to a permutation that keeps each block's order,
+        so its reduced row echelon form mod 2 is that of the blocks, and
+        these are the vectors `gf2_kernel_basis` gives for b."""
+        return tuple(sorted(
+            (block.index[v.bits.bit_length() - 1], t, v.to_bits())
+            for t, block in enumerate(self.blocks)
+            for v in gf2_kernel_basis(GF2Matrix.from_int_matrix(block.b))))
 
     @cached_property
     def basis(self) -> tuple[GF2Vector, ...]:
         """A basis of the mod-2 kernel of b."""
-        return tuple(gf2_kernel_basis(self.bbar))
-
-    @cached_property
-    def free_columns(self) -> tuple[int, ...]:
-        """The free column of each basis vector: its highest set bit.
-
-        `gf2_kernel_basis` gives the vector of free column f the bit f and,
-        beside it, only pivot columns left of f, so bit f of a kernel class
-        is its coordinate on that basis vector."""
-        return tuple(v.bits.bit_length() - 1 for v in self.basis)
+        return tuple(
+            GF2Vector(self.b.rows, sum(
+                1 << i for i in compress(self.blocks[t].index, lift)))
+            for _, t, lift in self._block_kernels)
 
     @cached_property
     def homology(self) -> AbelianGroup:
@@ -199,23 +208,12 @@ class Analysis:
     def _basis_classes(self) -> tuple[tuple, ...]:
         """(t, lift, Y, order of Y, c, triple cup) of each basis class.
 
-        The class lies in block t, the block of its free column, since
-        elimination mod 2 never mixes rows of two blocks.  lift and Y are
-        restricted to that block, where B X vanishes outside it, and
-        (order, c) = blocks[t].smith.reduce(Y)."""
-        owner = [0] * self.b.rows
-        for t, block in enumerate(self.blocks):
-            for i in block.index:
-                owner[i] = t
+        The class lies in block t, and lift and Y are restricted to that
+        block, where B X vanishes outside it; (order, c) =
+        blocks[t].smith.reduce(Y)."""
         rows = []
-        for v, f in zip(self.basis, self.free_columns):
-            t = owner[f]
+        for _, t, lift in self._block_kernels:
             block = self.blocks[t]
-            lift = tuple(v.bits >> i & 1 for i in block.index)
-            if sum(lift) != v.bits.bit_count():
-                raise InvariantViolation(
-                    f"mod-2 kernel basis class {list(v.to_bits())} leaves "
-                    f"the block of its free column {f}")
             try:
                 y = bockstein_representative(block.b, lift)
                 cup = triple_cup(block.b, lift)
@@ -223,7 +221,8 @@ class Analysis:
                 # the basis comes from the mod-2 kernel: an odd B X or
                 # X^T B X is a fault of this program, not of its input
                 raise InvariantViolation(
-                    f"mod-2 kernel basis class {list(v.to_bits())}: {exc}"
+                    f"mod-2 kernel basis class {list(lift)} of block "
+                    f"{list(block.index)}: {exc}"
                 ) from exc
             # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
             order, coeffs = block.smith.reduce(y)
@@ -286,24 +285,27 @@ class Analysis:
             mask |= (linking == _HALF) << i
         return mask
 
-    def _report(self, mask: int, x: CoverClass, crosscheck: bool) -> IndexReport:
+    def _report(self, mask: int, x: CoverClass, crosscheck: bool,
+                beta: int) -> IndexReport:
         """Classify the class x, which is the sum of the basis classes in
-        mask, from the basis masks and one B X."""
+        mask and has the Bockstein word beta, from the basis masks and one
+        B X."""
         lift = x.bits()
-        w = self.b.mul_vec(lift)
+        # b is symmetric, which `of` checked, so its rows are its columns
+        w = _row_sum(self.b, lift)
         if any(e & 1 for e in w):
             raise InvariantViolation(
                 f"B X is odd for the mod-2 kernel class {list(lift)}")
         y = tuple(e // 2 for e in w)
         # X . Y = (1/2) X^T B X, computed from this class alone
-        direct = _dot(lift, y) & 1
+        direct = sum(compress(y, lift)) & 1
         cup = _parity(mask & self.cup_mask)
         if cup != direct:
             raise InvariantViolation(
                 f"triple cup {cup} from the basis != (1/2) X^T B X mod 2 = "
                 f"{direct} for class {list(lift)}"
             )
-        vanishes = _xor_selected(mask, self.beta_rows) == 0
+        vanishes = beta == 0
         if cup == 1 and vanishes:
             raise InvariantViolation(
                 "triple cup nonzero but Bockstein vanishes: trichotomy broken"
@@ -333,14 +335,15 @@ class Analysis:
         if v.length != self.b.cols:
             raise DimensionError(
                 f"class length {v.length} != column count {self.b.cols}")
-        # the coordinates of x on the basis are its bits at the free columns
-        mask = 0
-        for i, f in enumerate(self.free_columns):
-            mask |= v.bit(f) << i
+        # the basis vector of free column f has the bit f and otherwise only
+        # pivot columns, so the bit f of x is its coordinate on that vector
+        mask = sum(v.bit(f) << i
+                   for i, (f, _, _) in enumerate(self._block_kernels))
         if _xor_selected(mask, (u.bits for u in self.basis)) != v.bits:
             raise ValueError("class is not in the mod-2 kernel of the "
                              "linking matrix")
-        return self._report(mask, x, crosscheck)
+        return self._report(mask, x, crosscheck,
+                            _xor_selected(mask, self.beta_rows))
 
     def classify_all(self, cap: int = 1024, *,
                      crosscheck: bool = True) -> ClassificationResult:
@@ -354,8 +357,12 @@ class Analysis:
                 analysis=self,
             )
         span, truncated = kernel_span(self.basis, cap)
-        reports = tuple(self._report(mask, CoverClass(v), crosscheck)
-                        for mask, v in span)
+        # the Bockstein word of each mask; past the cap the span is the basis
+        beta = ({1 << i: word for i, word in enumerate(self.beta_rows)}
+                if truncated else xor_span(self.beta_rows))
+        reports = tuple(
+            self._report(mask, CoverClass(v), crosscheck, beta[mask])
+            for mask, v in span)
         note = None
         if not reports:
             note = "no connected double cover"

@@ -5,10 +5,11 @@ lens space and compare with the family rule), catalog (look up the static
 table), selftest (run the verification suites).
 
 Exit codes: 0 success, 2 input validation (including input nested too
-deeply to parse and a negative --cap), 3 cap exceeded without
---allow-truncate, 4 internal invariant violation, 141 (128 + SIGPIPE, what
-a shell reports for a program killed by SIGPIPE) when the reader of stdout
-closed the pipe before the output was written.
+deeply to parse, an integer too long to convert to text and a negative
+--cap), 3 cap exceeded without --allow-truncate, 4 internal invariant
+violation, 141 (128 + SIGPIPE, what a shell reports for a program killed
+by SIGPIPE) when the reader of stdout closed the pipe before the output
+was written.
 
 JSON output comes from `render_json`, z2index's own indent-2 writer; its
 text is byte-identical to `json.dumps(doc, indent=2, ensure_ascii=False)`.
@@ -36,6 +37,7 @@ from .exactlinalg import IntMatrix
 from .surgery import (
     PresentationError,
     SurgeryPresentation,
+    check_printable,
     lens_presentation,
     parse_presentation,
 )
@@ -57,7 +59,7 @@ def _class_doc(report: IndexReport) -> dict:
     # list, and each copy is one more object the cyclic garbage collector
     # tracks while the report lives
     return {
-        "class": report.cover_class.bits(),
+        "class": report.lift,
         "lift": report.lift,
         "bockstein_rep": report.bockstein_rep,
         "beta_vanishes": report.beta_vanishes,
@@ -77,6 +79,8 @@ def build_report(pres: SurgeryPresentation, result: ClassificationResult,
     if analysis is None:
         analysis = Analysis.of(b)
     homology = analysis.homology
+    check_printable(max(homology.invariant_factors, default=0),
+                    "an invariant factor of H_1")
     k = len(analysis.basis)
     doc = {
         "schema": 1,

@@ -113,21 +113,27 @@ def kernel_span(basis: Sequence[GF2Vector],
     """
     k = len(basis)
     width = basis[0].length if basis else 0
-    if k and 2 ** k - 1 > cap:
+    truncated = k > 0 and 2 ** k - 1 > cap
+    if truncated:
         span = [(1 << i, v) for i, v in enumerate(basis)]
-        truncated = True
     else:
-        # each mask adds its lowest basis vector to a mask already summed
-        bits = [0] * 2 ** k
-        for mask in range(1, 2 ** k):
-            low = mask & -mask
-            bits[mask] = bits[mask ^ low] ^ basis[low.bit_length() - 1].bits
+        bits = xor_span([v.bits for v in basis])
         span = [(mask, GF2Vector(width, bits[mask]))
                 for mask in range(1, 2 ** k)]
-        truncated = False
     # the bit string read from bit 0 up orders like the tuple of bits
     span.sort(key=lambda item: format(item[1].bits, f"0{width}b")[::-1])
     return span, truncated
+
+
+def xor_span(words: Sequence[int]) -> list[int]:
+    """Entry mask: the XOR of the words at the set bits of mask, for every
+    mask below 2^len(words)."""
+    table = [0] * 2 ** len(words)
+    for mask in range(1, len(table)):
+        # each mask adds its lowest word to a mask already summed
+        low = mask & -mask
+        table[mask] = table[mask ^ low] ^ words[low.bit_length() - 1]
+    return table
 
 
 def torsion_linking(b: IntMatrix, a, c) -> QmodZ:

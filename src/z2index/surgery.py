@@ -10,6 +10,7 @@ are out of scope.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from math import gcd
 
@@ -138,6 +139,10 @@ def parse_presentation(text: str) -> SurgeryPresentation:
         raise PresentationError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise PresentationError("input nested too deeply to parse") from None
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts
+        reason = str(exc).partition(";")[0]
+        raise PresentationError(f"{reason}; {_LIFT_LIMIT}") from None
     return _presentation_from_doc(doc)
 
 
@@ -199,10 +204,24 @@ def _check_int(e):
     return e
 
 
+_LIFT_LIMIT = "set PYTHONINTMAXSTRDIGITS=0 to lift the limit"
+
+
+def check_printable(bound: int, what: str) -> None:
+    """Reject input when bound has more digits than the interpreter converts
+    between an integer and text (none before Python 3.10.7)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # 2^(3 limit) < 10^limit, so 3 limit bits have at most limit digits
+    if limit and bound.bit_length() > 3 * limit and bound >= 10 ** limit:
+        raise PresentationError(f"{what} has more than {limit} digits, the "
+                                f"limit for writing an integer; {_LIFT_LIMIT}")
+
+
 def _read_matrix(matrix, label) -> SurgeryPresentation:
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise PresentationError('"matrix" must be an array of arrays')
     m = len(matrix)
+    big = 0
     for r in matrix:
         if len(r) != m:
             raise PresentationError(
@@ -210,6 +229,9 @@ def _read_matrix(matrix, label) -> SurgeryPresentation:
             )
         for e in r:
             _check_int(e)
+        big = max(big, max(r), -min(r))
+    # n max|b_ij| bounds every entry of B X, so of every Y reported
+    check_printable(m * big, "n * max|b_ij| of the matrix")
     return SurgeryPresentation(IntMatrix(m, m, tuple(map(tuple, matrix))),
                                label)
 

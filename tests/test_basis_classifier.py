@@ -137,7 +137,7 @@ def test_per_class_work(monkeypatch):
     rng = random.Random(20261023)
     b = even_matrix(rng, 8)
     counts = {"mul_vec": 0, "reduce": 0, "checked_solution": 0,
-              "Fraction": 0}
+              "Fraction": 0, "row_sum": 0}
 
     def counted(name, original):
         def call(*args, **kwargs):
@@ -151,6 +151,8 @@ def test_per_class_work(monkeypatch):
                         counted("reduce", SmithDecomposition.reduce))
     monkeypatch.setattr(borsuk, "checked_solution",
                         counted("checked_solution", borsuk.checked_solution))
+    monkeypatch.setattr(borsuk, "_row_sum",
+                        counted("row_sum", borsuk._row_sum))
     for module in (borsuk, homology):
         monkeypatch.setattr(module, "Fraction",
                             counted("Fraction", module.Fraction))
@@ -160,12 +162,14 @@ def test_per_class_work(monkeypatch):
     analysis = analysed(b)
     k = len(analysis.basis)
     assert k == 8
-    assert (counts["mul_vec"], counts["reduce"],
-            counts["checked_solution"]) == (5 * k, k, k)
+    assert (counts["mul_vec"], counts["reduce"], counts["checked_solution"],
+            counts["row_sum"]) == (5 * k, k, k, 0)
 
+    # each class: one sum of the rows of B at its support, and no product
+    # of a whole matrix with a vector, elimination or rational arithmetic
     for key in counts:
         counts[key] = 0
     result = analysis.classify_all(cap=1 << k)
     assert len(result.reports) == 2 ** k - 1
-    assert counts == {"mul_vec": 2 ** k - 1, "reduce": 0,
-                      "checked_solution": 0, "Fraction": 0}
+    assert counts == {"mul_vec": 0, "reduce": 0, "checked_solution": 0,
+                      "Fraction": 0, "row_sum": 2 ** k - 1}

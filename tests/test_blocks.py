@@ -8,7 +8,10 @@ what the whole matrix gives: `smith_normal_form(b).cokernel()` for H_1,
 `is_in_integral_image` for the Bockstein and `torsion_linking` for the
 self-linking.  The blocks are zero rows (so b1 > 0), diagonal entries (an
 algebraically split link), lens chains and small random symmetric
-matrices; one-block matrices are the case with nothing to split.
+matrices; one-block matrices are the case with nothing to split.  The
+mod-2 kernel basis, taken block by block, is compared with
+`gf2_kernel_basis` of the whole matrix, and the B X of each class, a sum
+of rows, with `IntMatrix.mul_vec`.
 """
 
 import importlib
@@ -27,9 +30,11 @@ from z2index.borsuk import (
     triple_cup,
 )
 from z2index.exactlinalg import (
+    GF2Matrix,
     IntMatrix,
     connected_blocks,
     diagonal_cokernel,
+    gf2_kernel_basis,
     is_in_integral_image,
     principal_submatrix,
     smith_normal_form,
@@ -168,22 +173,67 @@ def test_block_analysis_matches_whole_matrix(family, crosscheck):
         assert free == 60
 
 
-def test_one_block_matrices_use_the_matrix_itself():
+def one_block_matrices(count=60):
     rng = random.Random(f"one_block:{SEED}")
-    for trial in range(60):
+    for trial in range(count):
         if trial % 2:
-            b = lens_block(rng)
+            yield lens_block(rng)
         else:
             n = rng.randint(1, 6)
             rows = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     rows[i][j] = rows[j][i] = rng.choice((-3, -2, -1, 1, 2, 4))
-            b = IntMatrix.from_rows(rows)
+            yield IntMatrix.from_rows(rows)
+
+
+def test_one_block_matrices_use_the_matrix_itself():
+    for b in one_block_matrices():
         analysis = Analysis.of(b)
         assert len(analysis.blocks) == 1
         assert analysis.blocks[0].b is b
         check_against_whole_matrix(b, crosscheck=True)
+
+
+def even_matrices():
+    """All-even symmetric matrices, n = 1..10, three of each size; zero
+    entries split some of them into blocks."""
+    rng = random.Random(f"even:{SEED}")
+    for n in range(1, 11):
+        for _ in range(3):
+            m = random_symmetric_matrix(rng, n, 3)
+            yield IntMatrix.from_rows([[2 * e for e in row]
+                                       for row in m.entries])
+
+
+def check_kernel_and_row_sums(b, cap):
+    """The block-by-block kernel basis against `gf2_kernel_basis` of the
+    whole matrix, vector for vector, and 2Y against B X by `mul_vec` for
+    every class reported; returns the number of classes."""
+    analysis = Analysis.of(b)
+    whole = gf2_kernel_basis(GF2Matrix.from_int_matrix(b))
+    assert list(analysis.basis) == whole
+    reports = analysis.classify_all(cap=cap).reports
+    for r in reports:
+        assert r.cover_class.bits() == r.lift
+        assert tuple(2 * e for e in r.bockstein_rep) == b.mul_vec(r.lift)
+    return len(reports)
+
+
+@pytest.mark.parametrize("family", ["mixed", "diagonal", "zero_rows",
+                                    "lens_sums", "one_block", "even"])
+def test_block_kernels_and_row_sums_match_whole_matrix(family):
+    if family == "one_block":
+        found = one_block_matrices()
+    elif family == "even":
+        found = even_matrices()
+    else:
+        found = matrices(family)
+    classified = 0
+    for b in found:
+        classified += check_kernel_and_row_sums(
+            b, cap=1 << b.rows if family == "even" else CAP)
+    assert classified > 0
 
 
 @pytest.mark.parametrize("diagonal, factors, free", [

@@ -11,7 +11,7 @@ import z2index
 import z2index.borsuk as borsuk
 import z2index.exactlinalg as exactlinalg
 from z2index.cli import main
-from z2index.exactlinalg import GF2Vector
+from z2index.exactlinalg import GF2Matrix, GF2Vector, IntMatrix
 
 
 def run(argv):
@@ -202,11 +202,13 @@ class TestErrorBoundary:
                                          "triple_cup"])
     def test_odd_kernel_class_exits_4(self, tmp_path, monkeypatch, capsys,
                                       failing):
-        # a kernel basis with a vector outside the mod-2 kernel: B X and
-        # X^T B X are odd, which inside the classifier is a fault of the
-        # program and not of its input
+        # each block's kernel basis is the vector 1, which is outside the
+        # mod-2 kernel of the 1x1 block [[1]]: its B X and X^T B X are odd,
+        # which inside the classifier is a fault of the program and not of
+        # its input.  The class (0, 1) comes first and is even, so the odd
+        # basis class is met by the basis classifier, through `failing`
         monkeypatch.setattr(borsuk, "gf2_kernel_basis",
-                            lambda bbar: [GF2Vector.from_bits((1, 0))])
+                            lambda bbar: [GF2Vector.from_bits((1,))])
         if failing == "triple_cup":
             # let the odd B X through, so that triple_cup sees it first
             monkeypatch.setattr(borsuk, "bockstein_representative",
@@ -215,7 +217,10 @@ class TestErrorBoundary:
         path = write_doc(tmp_path, {"matrix": [[1, 0], [0, 2]]})
         code, _ = run(["analyze", path])
         assert code == 4
-        assert "is odd" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "mod-2 kernel basis class [1] of block [0]" in err
+        assert {"bockstein_representative": "B X is not even",
+                "triple_cup": "X^T B X is odd"}[failing] in err
 
     def test_odd_lift_passed_in_is_an_input_error(self):
         # the public functions keep ValueError, which `main` maps to exit 2
@@ -281,17 +286,75 @@ class TestOneAnalysisPerDocument:
     ])
     def test_one_kernel_and_one_smith_form(self, tmp_path, monkeypatch,
                                            flags, code):
-        """One GF(2) kernel of the whole matrix per document, and one Smith
-        form per connected block: each block's submatrix exactly once, and
-        never the whole matrix."""
+        """One GF(2) kernel and one Smith form per connected block: each on
+        that block's submatrix, exactly once, and never on the whole
+        matrix."""
         kernels = _count_calls(monkeypatch, "gf2_kernel_basis")
         smith_forms = _count_calls(monkeypatch, "smith_normal_form")
         path = write_doc(tmp_path, {"matrix": [
             [2, 0, 0, 2, 0, 0], [0, 4, 0, 0, 0, 0], [0, 0, -2, 0, 0, 0],
             [2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 6, 2], [0, 0, 0, 0, 2, 8]]})
         assert run(["analyze", path, *flags])[0] == code
-        assert len(kernels) == 1
-        assert kernels[0][0].rows == 6
         # the blocks are {0, 3}, {1}, {2} and {4, 5}
-        assert [m.to_lists() for (m,) in smith_forms] == [
-            [[2, 2], [2, 0]], [[4]], [[-2]], [[6, 2], [2, 8]]]
+        blocks = [[[2, 2], [2, 0]], [[4]], [[-2]], [[6, 2], [2, 8]]]
+        assert [m.to_lists() for (m,) in smith_forms] == blocks
+        assert [m for (m,) in kernels] == [
+            GF2Matrix.from_int_matrix(IntMatrix.from_rows(m))
+            for m in blocks]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no limit on integer digits")
+class TestIntegerDigitLimit:
+    """Integers longer than the interpreter converts to text are rejected
+    with exit 2 and a message that names the limit, before any elimination
+    when the matrix entries alone exceed it."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_entries_too_long_to_print_exit_2_before_analysis(
+            self, tmp_path, monkeypatch, capsys, fmt):
+        # every entry has 4300 digits and parses; the entries of Y = B X / 2
+        # have 4301 and would not print
+        c = 8 * 10 ** 4299 + 1
+        path = write_doc(tmp_path, {"matrix": [
+            [c + (i == j) for j in range(21)] for i in range(21)]})
+        smith_forms = _count_calls(monkeypatch, "smith_normal_form")
+        code, text = run(["analyze", path, "--format", fmt])
+        assert (code, text, smith_forms) == (2, "", [])
+        err = capsys.readouterr().err
+        assert "n * max|b_ij| of the matrix has more than 4300 digits" in err
+        assert "PYTHONINTMAXSTRDIGITS" in err
+
+    def test_entries_at_the_limit_are_classified(self, tmp_path):
+        # n max|b_ij| = 2 10^4299 has 4300 digits: every integer prints
+        path = write_doc(tmp_path, {"matrix": [[2 * 10 ** 4299]]})
+        code, text = run(["analyze", path, "--format", "json"])
+        assert code == 0
+        assert json.loads(text)["classes"][0]["bockstein_rep"] == [
+            10 ** 4299]
+
+    def test_invariant_factor_too_long_to_print_exits_2(self, tmp_path,
+                                                         capsys):
+        # the entries have 2201 digits, but H_1 = Z/(M^2 - 1) has 4400
+        m = 10 ** 2200
+        path = write_doc(tmp_path, {"matrix": [[m, 1], [1, m]]})
+        code, text = run(["analyze", path, "--format", "json"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert "an invariant factor of H_1 has more than 4300 digits" in err
+
+    def test_input_literal_too_long_to_read_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text('{"matrix": [[' + "9" * 4301 + "]]}",
+                        encoding="utf-8")
+        assert run(["analyze", str(path)]) == (2, "")
+        err = capsys.readouterr().err
+        assert "4300 digits" in err and "PYTHONINTMAXSTRDIGITS" in err
+        assert "set_int_max_str_digits" not in err

@@ -84,7 +84,7 @@ def test_analysis_rejects_wrong_order():
     wrong = Block((0,), mat([[-4]]),
                   SmithDecomposition(u=mat([[1]]), s=mat([[1]]),
                                      v=mat([[1]])))
-    bad = Analysis(b, good.bbar, (wrong, good.blocks[1]))
+    bad = Analysis(b, (wrong, good.blocks[1]))
     with pytest.raises(InvariantViolation):
         bad.classify(CoverClass.from_bits((1, 0)))
     # the class in the other block meets only that block's Smith form
@@ -93,14 +93,20 @@ def test_analysis_rejects_wrong_order():
 
 
 def test_analysis_rejects_a_class_that_leaves_its_block():
-    # b is one block, and its mod-2 kernel class (1, 1) spans both indices;
-    # blocks claimed as {0} and {1} would split it
-    b = mat([[1, 1], [1, 1]])
-    split = tuple(Block((i,), mat([[1]]), smith_normal_form(mat([[1]])))
+    # b is one block and invertible mod 2, so it has no cover class.  Blocks
+    # claimed as {0} and {1}, each [[0]], each have the kernel vector 1, so
+    # that (1, 0) and (0, 1) look like classes of b; the B X of each, on
+    # the whole of b, is a column of b, which is odd
+    b = mat([[0, 1], [1, 0]])
+    split = tuple(Block((i,), mat([[0]]), smith_normal_form(mat([[0]])))
                   for i in range(2))
-    bad = Analysis(b, Analysis.of(b).bbar, split)
-    with pytest.raises(InvariantViolation, match="leaves the block"):
-        bad.classify(CoverClass.from_bits((1, 1)), crosscheck=False)
+    bad = Analysis(b, split)
+    assert len(bad.basis) == 2
+    for bits in ((1, 0), (0, 1)):
+        with pytest.raises(InvariantViolation, match="B X is odd"):
+            bad.classify(CoverClass.from_bits(bits), crosscheck=False)
+    with pytest.raises(InvariantViolation, match="B X is odd"):
+        bad.classify_all(crosscheck=False)
 
 
 def test_lens_determinant_check(monkeypatch):
