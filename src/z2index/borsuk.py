@@ -29,16 +29,19 @@ Bockstein into coker(B)[2] and the linking form split as direct sums over
 the blocks.  So each elimination runs once per block: the Smith form,
 about m^3 on an m x m block, and the mod-2 elimination, whose kernel
 vectors, embedded in B, are the basis of K.  A basis class is reduced by
-the Smith form of its own block.  Nothing is kept from one presentation
+the Smith form of its own block.  An `Analysis` checks that its blocks
+partition the indices of B and hold every nonzero entry of B, so that a
+split cannot lose kernel vectors.  Nothing is kept from one presentation
 to the next.
 
 A class is then a mask over the basis.  It costs one B X, the sum of the
 rows of B at the support of X, which gives the reported Y and
 X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is the XOR and
 the parity of the basis masks.  The class checks that B X is even, so
-that a wrong split into blocks shows, that the trichotomy holds, and that
-the linearly extended triple cup and self-linking equal its own X . Y
-mod 2, which keeps the cross-check off the path of the verdict it checks.
+that a block matrix that adds kernel vectors shows, that the trichotomy
+holds, and that the linearly extended triple cup and self-linking equal
+its own X . Y mod 2, which keeps the cross-check off the path of the
+verdict it checks.
 """
 
 from __future__ import annotations
@@ -132,6 +135,10 @@ def _row_sum(b: IntMatrix, lift) -> tuple[int, ...]:
     return tuple(map(sum, zip(*compress(b.entries, lift)))) or (0,) * b.cols
 
 
+def _nonzero_count(b: IntMatrix) -> int:
+    return sum(b.cols - row.count(0) for row in b.entries)
+
+
 def _parity(word: int) -> int:
     return word.bit_count() & 1
 
@@ -166,6 +173,18 @@ class Analysis:
 
     b: IntMatrix
     blocks: tuple[Block, ...]
+
+    def __post_init__(self):
+        # a split that misses an index or an entry of b would lose mod-2
+        # kernel vectors, and no later check would see them missing
+        if sorted(i for block in self.blocks for i in block.index) != list(
+                range(self.b.rows)):
+            raise InvariantViolation(
+                "the blocks do not partition the indices of b")
+        if _nonzero_count(self.b) != sum(
+                _nonzero_count(block.b) for block in self.blocks):
+            raise InvariantViolation(
+                "the blocks do not hold every nonzero entry of b")
 
     @classmethod
     def of(cls, b: IntMatrix) -> "Analysis":

@@ -227,99 +227,70 @@ class AbelianGroup:
 def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: u @ b @ v == s.
 
-    Pivots are chosen with minimal absolute value (with an early exit on
-    units) to limit coefficient growth; entries stay exact throughout.
-    Nothing is memoized: each call eliminates b.
+    Pivot policy (Kannan-Bachem): the pivot at (t, t) is the nonzero entry
+    of least absolute value in the trailing block a[t:, t:], the search
+    stopping at the first unit, moved there by one row and one column swap.
+    It reduces every row below and every column to its right; a remainder
+    left in row t or column t starts a new search.  Once both are clear, a
+    pivot other than +-1 that fails to divide a trailing row takes that row
+    into row t and searches again.  Re-picking the least entry of the whole
+    block keeps the entries of u and v small on dense input.  Rows with a
+    negative diagonal entry are negated last.  Nothing is memoized: each
+    call eliminates b.
     """
     m, n = b.rows, b.cols
     a = b.to_lists()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        for k in range(n):
-            ai[k] -= q * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(m):
-            ui[k] -= q * uj[k]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_sub(j, i, q):
-        # col_j -= q * col_i
-        for r in a:
-            r[j] -= q * r[i]
-        for r in v:
-            r[j] -= q * r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    limit = min(m, n)
-    for t in range(limit):
+    t = 0
+    while t < min(m, n):
         best = None
         for i in range(t, m):
-            ai = a[i]
             for j in range(t, n):
-                e = ai[j]
-                if e and (best is None or abs(e) < best[0]):
-                    best = (abs(e), i, j)
-                    if best[0] == 1:
+                e = abs(a[i][j])
+                if e and (best is None or e < best[0]):
+                    best = e, i, j
+                    if e == 1:
                         break
-            if best is not None and best[0] == 1:
-                break
+            else:
+                continue
+            break
         if best is None:
             break
-        _, pi, pj = best
-        if pi != t:
-            row_swap(t, pi)
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            restart = False
-            for i in range(m):
-                if i != t and a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        row_swap(i, t)
-                        restart = True
-                        break
-            if restart:
+        _, i, j = best
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        if j != t:
+            for r in a[t:] + v:
+                r[t], r[j] = r[j], r[t]
+        # rows above t and columns left of t are clear off the diagonal
+        p, at, ut = a[t][t], a[t], u[t]
+        for i in range(t + 1, m):
+            if a[i][t] and (q := a[i][t] // p):
+                ai, ui = a[i], u[i]
+                for k in range(t, n):
+                    ai[k] -= q * at[k]
+                for k in range(m):
+                    ui[k] -= q * ut[k]
+        rows = a[t:] + v
+        for j in range(t + 1, n):
+            q = a[t][j] // p
+            if q:
+                for r in rows:
+                    r[j] -= q * r[t]
+        if any(map(operator.itemgetter(t), a[t + 1:])) or any(a[t][t + 1:]):
+            continue
+        if p not in (1, -1):
+            # the pivot must divide the trailing block, or the divisor
+            # chain fails later; add an offending row to row t
+            off = next((i for i in range(t + 1, m)
+                        if any(e % p for e in a[i][t + 1:])), None)
+            if off is not None:
+                a[t] = [x + y for x, y in zip(a[t], a[off])]
+                u[t] = [x + y for x, y in zip(u[t], u[off])]
                 continue
-            for j in range(n):
-                if j != t and a[t][j]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        col_swap(j, t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            piv = a[t][t]
-            if piv in (1, -1):
-                break
-            # the pivot must divide the trailing submatrix, or the
-            # divisor chain fails later; pull an offending row up
-            off = None
-            for i in range(t + 1, m):
-                ai = a[i]
-                for j in range(t + 1, n):
-                    if ai[j] % piv:
-                        off = i
-                        break
-                if off is not None:
-                    break
-            if off is None:
-                break
-            row_sub(t, off, -1)
-    for i in range(limit):
+        t += 1
+    for i in range(min(m, n)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]

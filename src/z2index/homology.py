@@ -18,10 +18,10 @@ from .exactlinalg import (
     GF2Matrix,
     GF2Vector,
     IntMatrix,
+    _reduce,
+    checked_solution,
     cokernel_structure,
     gf2_kernel_basis,
-    order_in_cokernel,
-    solve_scaled,
 )
 
 
@@ -146,12 +146,13 @@ def torsion_linking(b: IntMatrix, a, c) -> QmodZ:
     """
     a = tuple(int(e) for e in a)
     c = tuple(int(e) for e in c)
-    solved = solve_scaled(b, a)
-    if solved is None:
+    # one Smith form of b serves both classes
+    dec, a, n, coeffs = _reduce(b, a)
+    if n is None:
         raise NonTorsionError("first class has infinite order in coker(b)")
-    if order_in_cokernel(b, c) is None:
+    z = checked_solution(b, dec, a, n, coeffs)
+    if dec.reduce(c)[0] is None:
         raise NonTorsionError("second class has infinite order in coker(b)")
-    n, z = solved
     return QmodZ.from_fraction(
         Fraction(sum(zi * ci for zi, ci in zip(z, c)), n)
     )

@@ -31,7 +31,7 @@ from .exactlinalg import (
     smith_normal_form,
     solve_integral,
 )
-from .homology import CoverClass, cover_classes
+from .homology import CoverClass
 from .surgery import lens_presentation
 
 
@@ -229,9 +229,11 @@ def suite_diagonal_oracle(trials: int = 500, seed: int = 20260823,
         n = rng.randint(1, 8)
         diag = [rng.randint(-10, 10) for _ in range(n)]
         b = IntMatrix.diagonal(diag)
-        classes, _ = cover_classes(b, cap=1 << n)
-        for x in classes:
-            report = _classify_recorded(b, x, recorder)
+        # the cap 2^n never truncates
+        for report in classify_all(b, cap=1 << n).reports:
+            x = report.cover_class
+            if recorder is not None:
+                recorder.append((b, report))
             classified += 1
             if report.index != diagonal_index(diag, x):
                 return SuiteResult(
@@ -261,11 +263,13 @@ def suite_lift_independence(trials: int = 1000, seed: int = 20260824,
     while done < trials:
         n = rng.randint(1, 6)
         b = random_symmetric_matrix(rng, n, 9)
-        classes, _ = cover_classes(b, cap=1 << n)
-        if not classes:
+        reports = classify_all(b, cap=1 << n).reports
+        if not reports:
             continue
-        x = rng.choice(classes)
-        report = _classify_recorded(b, x, recorder)
+        report = rng.choice(reports)
+        x = report.cover_class
+        if recorder is not None:
+            recorder.append((b, report))
         z = [rng.randint(-4, 4) for _ in range(n)]
         shifted = tuple(xi + 2 * zi for xi, zi in zip(report.lift, z))
         index, vanishes, cup = _index_from_lift(b, shifted)

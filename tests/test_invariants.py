@@ -94,19 +94,37 @@ def test_analysis_rejects_wrong_order():
 
 def test_analysis_rejects_a_class_that_leaves_its_block():
     # b is one block and invertible mod 2, so it has no cover class.  Blocks
-    # claimed as {0} and {1}, each [[0]], each have the kernel vector 1, so
-    # that (1, 0) and (0, 1) look like classes of b; the B X of each, on
-    # the whole of b, is a column of b, which is odd
+    # claimed as {0} and {1}, each [[0]], would each have the kernel vector
+    # 1, so that (1, 0) and (0, 1) would look like classes of b.  The split
+    # leaves out both entries of b, and Analysis rejects it before any class
+    # is classified
     b = mat([[0, 1], [1, 0]])
     split = tuple(Block((i,), mat([[0]]), smith_normal_form(mat([[0]])))
                   for i in range(2))
-    bad = Analysis(b, split)
-    assert len(bad.basis) == 2
-    for bits in ((1, 0), (0, 1)):
-        with pytest.raises(InvariantViolation, match="B X is odd"):
-            bad.classify(CoverClass.from_bits(bits), crosscheck=False)
-    with pytest.raises(InvariantViolation, match="B X is odd"):
-        bad.classify_all(crosscheck=False)
+    with pytest.raises(InvariantViolation, match="every nonzero entry"):
+        Analysis(b, split)
+
+
+def test_analysis_rejects_a_split_that_loses_kernel_vectors():
+    # (1, 1) is a class of b, but the blocks {0} and {1}, each [[1]], have
+    # no mod-2 kernel: the split would report no connected double cover
+    b = mat([[1, 1], [1, 1]])
+    split = tuple(Block((i,), mat([[1]]), smith_normal_form(mat([[1]])))
+                  for i in range(2))
+    with pytest.raises(InvariantViolation, match="every nonzero entry"):
+        Analysis(b, split)
+    assert [x.to_bits() for x in Analysis.of(b).basis] == [(1, 1)]
+
+
+def test_analysis_rejects_blocks_that_do_not_partition_b():
+    b = IntMatrix.diagonal([2, 2])
+    first, second = Analysis.of(b).blocks
+    outside = Block((2,), mat([[2]]), smith_normal_form(mat([[2]])))
+    for blocks in ((first,), (first, first), (first, outside),
+                   (first, second, outside)):
+        with pytest.raises(InvariantViolation, match="partition"):
+            Analysis(b, blocks)
+    assert Analysis(b, (second, first)).homology == Analysis.of(b).homology
 
 
 def test_lens_determinant_check(monkeypatch):
