@@ -26,7 +26,6 @@ from .exactlinalg import (
     order_in_cokernel,
     smith_normal_form,
     solve_integral,
-    solve_rational,
 )
 from .homology import (
     CoverClass,
@@ -42,7 +41,6 @@ from .surgery import (
     empty_presentation,
     lens_presentation,
     parse_presentation,
-    serialize_presentation,
 )
 
 __all__ = [
@@ -76,9 +74,7 @@ __all__ = [
     "lookup",
     "order_in_cokernel",
     "parse_presentation",
-    "serialize_presentation",
     "smith_normal_form",
     "solve_integral",
-    "solve_rational",
     "torsion_linking",
 ]

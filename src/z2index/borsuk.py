@@ -60,7 +60,6 @@ from .exactlinalg import (
     IntMatrix,
     InvariantViolation,
     SmithDecomposition,
-    checked_solution,
     connected_blocks,
     diagonal_cokernel,
     gf2_kernel_basis,
@@ -281,11 +280,11 @@ class Analysis:
         B z = nY in the block of the class, checked against the quarter form
         (1/4) X^T B X and the triple cup of the class."""
         mask = 0
-        for i, (t, lift, y, order, coeffs, cup) in enumerate(
-                self._basis_classes):
+        for i, (t, lift, y, _, _, cup) in enumerate(self._basis_classes):
             block = self.blocks[t]
-            z = checked_solution(block.b, block.smith, y, order, coeffs)
-            linking = QmodZ.from_fraction(Fraction(_dot(z, y), order))
+            # a reduction of its own, apart from the verdict's coefficients
+            n, z = block.smith.solve(block.b, y)
+            linking = QmodZ.from_fraction(Fraction(_dot(z, y), n))
             expected = QmodZ.from_fraction(Fraction(2 * _dot(lift, y), 4))
             if linking != expected:
                 raise InvariantViolation(

@@ -1,7 +1,6 @@
-"""Exact integer, rational, and GF(2) linear algebra.
+"""Exact integer and GF(2) linear algebra.
 
-Everything here is exact: integers are Python's arbitrary-precision ints,
-rationals are ``fractions.Fraction`` (always reduced, positive denominator),
+Everything here is exact: integers are Python's arbitrary-precision ints
 and GF(2) vectors are bit-packed ints.  Nothing ever rounds.
 """
 
@@ -9,7 +8,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
@@ -171,8 +169,23 @@ class SmithDecomposition:
             elif wi % di:
                 n = lcm(n, di // gcd(di, wi))
         c = [n * wi // di if di else 0 for wi, di in zip(w, self.diagonal)]
-        cols = self.v.rows
+        cols = self.s.cols
         return n, tuple(c[:cols] + [0] * (cols - len(c)))
+
+    def solve(self, b: IntMatrix, y):
+        """(n, z) with n the order of y in coker(b) and z = v @ c an integer
+        solution of b @ z == n*y, checked exactly; None when y has infinite
+        order.  self must decompose b."""
+        y = _int_vector(y, b.rows)
+        n, c = self.reduce(y)
+        if n is None:
+            return None
+        z = self.v.mul_vec(c)
+        if b.mul_vec(z) != tuple(n * e for e in y):
+            raise InvariantViolation(
+                "the Smith-form solution z does not solve b z = n y"
+            )
+        return n, z
 
     def cokernel(self) -> "AbelianGroup":
         """Z^m / im(b) for the square matrix b that this decomposes."""
@@ -188,19 +201,12 @@ class SmithDecomposition:
         if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
             return False
         d = self.s.diagonal_entries()
-        if any(x < 0 for x in d):
+        # a divisor chain of entries >= 0, zeros last, and nothing off it
+        if any(x < 0 for x in d) or any(
+                c % a if a else c for a, c in zip(d, d[1:])):
             return False
-        for i in range(len(d) - 1):
-            if d[i] == 0 and d[i + 1] != 0:
-                return False
-            if d[i] != 0 and d[i + 1] % d[i] != 0:
-                return False
-        # off-diagonal of s must vanish
-        for i, row in enumerate(self.s.entries):
-            for j, e in enumerate(row):
-                if i != j and e != 0:
-                    return False
-        return True
+        return not any(e for i, row in enumerate(self.s.entries)
+                       for j, e in enumerate(row) if i != j)
 
 
 @dataclass(frozen=True)
@@ -369,42 +375,18 @@ def cokernel_structure(b: IntMatrix) -> AbelianGroup:
     return smith_normal_form(b).cokernel()
 
 
-def _reduce(b: IntMatrix, y):
-    """(dec, y, n, c): b's Smith form, y as a tuple of ints checked against
-    b, and (n, c) = dec.reduce(y)."""
+def _int_vector(y, rows: int) -> tuple[int, ...]:
+    """y as a tuple of ints, checked to have one entry per row."""
     y = tuple(int(e) for e in y)
-    if len(y) != b.rows:
-        raise DimensionError(
-            f"vector length {len(y)} != row count {b.rows}"
-        )
-    dec = smith_normal_form(b)
-    return (dec, y, *dec.reduce(y))
-
-
-def checked_solution(b: IntMatrix, dec: SmithDecomposition, y, n: int,
-                     c) -> tuple[int, ...]:
-    """z = dec.v @ c for (n, c) = dec.reduce(y), checked to solve
-    b @ z == n*y exactly."""
-    z = dec.v.mul_vec(c)
-    if b.mul_vec(z) != tuple(n * e for e in y):
-        raise InvariantViolation(
-            "the Smith-form solution z does not solve b z = n y"
-        )
-    return z
-
-
-def solve_scaled(b: IntMatrix, y):
-    """(n, z) with n the order of y in coker(b) and z an integer solution
-    of b @ z == n*y, or None when y has infinite order."""
-    dec, y, n, c = _reduce(b, y)
-    if n is None:
-        return None
-    return n, checked_solution(b, dec, y, n, c)
+    if len(y) != rows:
+        raise DimensionError(f"vector length {len(y)} != row count {rows}")
+    return y
 
 
 def order_in_cokernel(b: IntMatrix, y):
     """Least n >= 1 with n*y in im(b), or None when y has infinite order."""
-    return _reduce(b, y)[2]
+    y = _int_vector(y, b.rows)
+    return smith_normal_form(b).reduce(y)[0]
 
 
 def is_in_integral_image(b: IntMatrix, y) -> bool:
@@ -414,18 +396,8 @@ def is_in_integral_image(b: IntMatrix, y) -> bool:
 
 def solve_integral(b: IntMatrix, y):
     """An integer z with b @ z == y, or None when no such z exists."""
-    solved = solve_scaled(b, y)
+    solved = smith_normal_form(b).solve(b, y)
     return solved[1] if solved and solved[0] == 1 else None
-
-
-def solve_rational(b: IntMatrix, y):
-    """An exact rational z with b @ z == y, or None if y is outside the
-    rational column span."""
-    solved = solve_scaled(b, y)
-    if solved is None:
-        return None
-    n, z = solved
-    return tuple(Fraction(e, n) for e in z)
 
 
 def congruence_transform(b: IntMatrix, p: IntMatrix) -> IntMatrix:
@@ -472,11 +444,6 @@ class GF2Vector:
     @property
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.length != other.length:
-            raise DimensionError("length mismatch")
-        return GF2Vector(self.length, self.bits ^ other.bits)
 
 
 @dataclass(frozen=True)

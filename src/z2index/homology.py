@@ -12,14 +12,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import exactlinalg
 from .exactlinalg import (
     AbelianGroup,
     DimensionError,
     GF2Matrix,
     GF2Vector,
     IntMatrix,
-    _reduce,
-    checked_solution,
+    _int_vector,
     cokernel_structure,
     gf2_kernel_basis,
 )
@@ -144,13 +144,13 @@ def torsion_linking(b: IntMatrix, a, c) -> QmodZ:
     Independent of the chosen solution z and of the representatives of a
     and c modulo im(b).
     """
-    a = tuple(int(e) for e in a)
-    c = tuple(int(e) for e in c)
     # one Smith form of b serves both classes
-    dec, a, n, coeffs = _reduce(b, a)
-    if n is None:
+    dec = exactlinalg.smith_normal_form(b)
+    solved = dec.solve(b, a)
+    if solved is None:
         raise NonTorsionError("first class has infinite order in coker(b)")
-    z = checked_solution(b, dec, a, n, coeffs)
+    n, z = solved
+    c = _int_vector(c, b.rows)
     if dec.reduce(c)[0] is None:
         raise NonTorsionError("second class has infinite order in coker(b)")
     return QmodZ.from_fraction(

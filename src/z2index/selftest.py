@@ -31,7 +31,7 @@ from .exactlinalg import (
     smith_normal_form,
     solve_integral,
 )
-from .homology import CoverClass
+from .homology import CoverClass, torsion_linking
 from .surgery import lens_presentation
 
 
@@ -46,13 +46,14 @@ Recorder = list[tuple[IntMatrix, IndexReport]]
 
 
 def _suite(name):
-    """Report internal invariant violations as suite failures instead of
-    letting them escape."""
+    """Make the suite body, which returns (passed, detail), return the
+    SuiteResult named name; an internal invariant violation is reported as
+    a failure instead of escaping."""
     def wrap(fn):
         @functools.wraps(fn)
-        def run(*args, **kwargs):
+        def run(*args, **kwargs) -> SuiteResult:
             try:
-                return fn(*args, **kwargs)
+                return SuiteResult(name, *fn(*args, **kwargs))
             except InvariantViolation as exc:
                 return SuiteResult(name, False, f"invariant violation: {exc}")
         return run
@@ -99,46 +100,32 @@ def random_unimodular_matrix(rng: random.Random, n: int, ops: int = 12) -> IntMa
 
 
 @_suite("sphere")
-def suite_sphere(recorder: Recorder | None = None) -> SuiteResult:
+def suite_sphere(recorder: Recorder | None = None):
     """Antipodal involution on S^3: the (-2)-framed unknot, index 3."""
     b = IntMatrix.from_rows([[-2]])
     result = classify_all(b)
-    ok = (
-        len(result.reports) == 1
-        and result.reports[0].index == 3
-        and result.reports[0].cover_class.bits() == (1,)
-    )
+    ok = [(r.index, r.cover_class.bits())
+          for r in result.reports] == [(3, (1,))]
     if recorder is not None and ok:
         recorder.append((b, result.reports[0]))
-    return SuiteResult(
-        "sphere", ok,
-        f"[[-2]] -> {[r.index for r in result.reports]} (want [3])",
-    )
+    return ok, f"[[-2]] -> {[r.index for r in result.reports]} (want [3])"
 
 
 @_suite("stolz")
-def suite_stolz(recorder: Recorder | None = None) -> SuiteResult:
+def suite_stolz(recorder: Recorder | None = None):
     """RP^3 with the i-multiplication involution: (-4)-framed unknot,
     index 2 with Bockstein witness Y = (-2) outside 4Z and triple cup 0."""
     b = IntMatrix.from_rows([[-4]])
     result = classify_all(b)
-    ok = (
-        len(result.reports) == 1
-        and result.reports[0].index == 2
-        and result.reports[0].bockstein_rep == (-2,)
-        and not result.reports[0].beta_vanishes
-        and result.reports[0].triple_cup == 0
-    )
+    ok = [(r.index, r.bockstein_rep, r.beta_vanishes, r.triple_cup)
+          for r in result.reports] == [(2, (-2,), False, 0)]
     if recorder is not None and ok:
         recorder.append((b, result.reports[0]))
-    return SuiteResult(
-        "stolz", ok,
-        f"[[-4]] -> {[r.index for r in result.reports]} (want [2])",
-    )
+    return ok, f"[[-4]] -> {[r.index for r in result.reports]} (want [2])"
 
 
 @_suite("lens_sweep")
-def suite_lens_sweep(pmax: int = 200, recorder: Recorder | None = None) -> SuiteResult:
+def suite_lens_sweep(pmax: int = 200, recorder: Recorder | None = None):
     """Lens spaces for all coprime (p, q) with p <= pmax: index 3 iff
     p = 2 mod 4, index 2 for other even p, no classes for odd p."""
     checked = 0
@@ -152,43 +139,33 @@ def suite_lens_sweep(pmax: int = 200, recorder: Recorder | None = None) -> Suite
             checked += 1
             if expected is None:
                 if result.reports:
-                    return SuiteResult(
-                        "lens_sweep", False,
-                        f"L({p},{q}): expected no classes, got "
-                        f"{len(result.reports)}",
-                    )
+                    return False, (f"L({p},{q}): expected no classes, got "
+                                   f"{len(result.reports)}")
             else:
                 if len(result.reports) != 1 or result.reports[0].index != expected:
-                    return SuiteResult(
-                        "lens_sweep", False,
-                        f"L({p},{q}): expected one class of index "
-                        f"{expected}, got "
-                        f"{[r.index for r in result.reports]}",
-                    )
+                    return False, (f"L({p},{q}): expected one class of index "
+                                   f"{expected}, got "
+                                   f"{[r.index for r in result.reports]}")
                 if recorder is not None:
                     recorder.append((b, result.reports[0]))
-    return SuiteResult(
-        "lens_sweep", True, f"{checked} coprime pairs up to p={pmax}"
-    )
+    return True, f"{checked} coprime pairs up to p={pmax}"
 
 
 @_suite("s1xs2")
-def suite_s1xs2(recorder: Recorder | None = None) -> SuiteResult:
+def suite_s1xs2(recorder: Recorder | None = None):
     """Free involutions on S^1 x S^2 with orientable quotient: the
     0-framed unknot gives index 1; diag(2,2) class (1,1) gives index 2."""
     b0 = IntMatrix.from_rows([[0]])
     r0 = _classify_recorded(b0, CoverClass.from_bits((1,)), recorder)
     b2 = IntMatrix.from_rows([[2, 0], [0, 2]])
     r2 = _classify_recorded(b2, CoverClass.from_bits((1, 1)), recorder)
-    ok = r0.index == 1 and r2.index == 2
-    return SuiteResult(
-        "s1xs2", ok,
-        f"[[0]] -> {r0.index} (want 1); diag(2,2)@(1,1) -> {r2.index} (want 2)",
+    return r0.index == 1 and r2.index == 2, (
+        f"[[0]] -> {r0.index} (want 1); diag(2,2)@(1,1) -> {r2.index} (want 2)"
     )
 
 
 @_suite("catalog")
-def suite_catalog(recorder: Recorder | None = None) -> SuiteResult:
+def suite_catalog(recorder: Recorder | None = None):
     """Every surgery-computable catalog entry reproduces its index through
     the classifier; nonorientable entries are present with citations."""
     for entry in ENTRIES:
@@ -197,30 +174,22 @@ def suite_catalog(recorder: Recorder | None = None) -> SuiteResult:
             x = CoverClass.from_bits(entry.cover_class_bits)
             report = _classify_recorded(b, x, recorder)
             if report.index != entry.index:
-                return SuiteResult(
-                    "catalog", False,
-                    f"{entry.quotient_manifold}: classifier gave "
-                    f"{report.index}, catalog says {entry.index}",
-                )
+                return False, (f"{entry.quotient_manifold}: classifier gave "
+                               f"{report.index}, catalog says {entry.index}")
         elif not entry.source:
-            return SuiteResult(
-                "catalog", False,
-                f"{entry.quotient_manifold}: non-computable entry "
-                "without citation",
-            )
+            return False, (f"{entry.quotient_manifold}: non-computable entry "
+                           "without citation")
     names = {(e.cover_manifold, e.quotient_manifold, e.index) for e in ENTRIES}
     required = {("K^3", "S^1xRP^2", 3), ("S^1xS^2", "S^1xRP^2", 2),
                 ("S^1xS^2", "K^3", 1)}
     if not required <= names:
-        return SuiteResult(
-            "catalog", False, f"missing entries: {required - names}"
-        )
-    return SuiteResult("catalog", True, f"{len(ENTRIES)} entries consistent")
+        return False, f"missing entries: {required - names}"
+    return True, f"{len(ENTRIES)} entries consistent"
 
 
 @_suite("diagonal_oracle")
 def suite_diagonal_oracle(trials: int = 500, seed: int = 20260823,
-                          recorder: Recorder | None = None) -> SuiteResult:
+                          recorder: Recorder | None = None):
     """Random diagonal matrices: the general classifier agrees with the
     diagonal closed form on every cover class."""
     rng = random.Random(seed)
@@ -236,15 +205,10 @@ def suite_diagonal_oracle(trials: int = 500, seed: int = 20260823,
                 recorder.append((b, report))
             classified += 1
             if report.index != diagonal_index(diag, x):
-                return SuiteResult(
-                    "diagonal_oracle", False,
-                    f"diag {diag}, class {x.bits()}: classifier "
-                    f"{report.index} != closed form {diagonal_index(diag, x)}",
-                )
-    return SuiteResult(
-        "diagonal_oracle", True,
-        f"{trials} matrices, {classified} classes agree",
-    )
+                return False, (f"diag {diag}, class {x.bits()}: classifier "
+                               f"{report.index} != closed form "
+                               f"{diagonal_index(diag, x)}")
+    return True, f"{trials} matrices, {classified} classes agree"
 
 
 def _index_from_lift(b: IntMatrix, lift) -> tuple[int, bool, int]:
@@ -256,7 +220,7 @@ def _index_from_lift(b: IntMatrix, lift) -> tuple[int, bool, int]:
 
 @_suite("lift_independence")
 def suite_lift_independence(trials: int = 1000, seed: int = 20260824,
-                            recorder: Recorder | None = None) -> SuiteResult:
+                            recorder: Recorder | None = None):
     """Replacing the canonical lift X by X + 2Z changes no verdict."""
     rng = random.Random(seed)
     done = 0
@@ -276,51 +240,42 @@ def suite_lift_independence(trials: int = 1000, seed: int = 20260824,
         if (index, vanishes, cup) != (
             report.index, report.beta_vanishes, report.triple_cup
         ):
-            return SuiteResult(
-                "lift_independence", False,
+            return False, (
                 f"b={b.to_lists()}, class {x.bits()}, shift {z}: "
                 f"({index},{vanishes},{cup}) != "
-                f"({report.index},{report.beta_vanishes},{report.triple_cup})",
-            )
+                f"({report.index},{report.beta_vanishes},{report.triple_cup})")
         done += 1
-    return SuiteResult("lift_independence", True, f"{trials} perturbations")
+    return True, f"{trials} perturbations"
 
 
 @_suite("linking_crosscheck")
-def suite_linking_crosscheck(recorder: Recorder) -> SuiteResult:
+def suite_linking_crosscheck(recorder: Recorder):
     """Every recorded classification satisfies the linking-form identity:
-    self-linking = (1/4) X^T B X mod 1, lands in {0, 1/2}, and is 1/2
-    exactly when the triple cup is nonzero."""
+    self-linking = (1/4) X^T B X mod 1, lands in {0, 1/2}, is 1/2 exactly
+    when the triple cup is nonzero, and equals torsion_linking(B, Y, Y),
+    taken with the Smith form of the whole of B rather than of a block."""
     if not recorder:
-        return SuiteResult("linking_crosscheck", False, "nothing recorded")
+        return False, "nothing recorded"
     for b, report in recorder:
         if report.self_linking is None:
-            return SuiteResult(
-                "linking_crosscheck", False, "classification skipped the "
-                "cross-check",
-            )
+            return False, "classification skipped the cross-check"
         value = report.self_linking.value
         quad = sum(
             xi * e for xi, e in zip(report.lift, b.mul_vec(report.lift))
         )
         if value not in (Fraction(0), Fraction(1, 2)):
-            return SuiteResult(
-                "linking_crosscheck", False,
-                f"self-linking {value} outside {{0, 1/2}}",
-            )
+            return False, f"self-linking {value} outside {{0, 1/2}}"
         if value != Fraction(quad, 4) % 1:
-            return SuiteResult(
-                "linking_crosscheck", False,
-                f"self-linking {value} != quarter form {Fraction(quad, 4) % 1}",
-            )
+            return False, (f"self-linking {value} != quarter form "
+                           f"{Fraction(quad, 4) % 1}")
         if (value == Fraction(1, 2)) != (report.triple_cup == 1):
-            return SuiteResult(
-                "linking_crosscheck", False,
-                "linking verdict disagrees with the triple cup",
-            )
-    return SuiteResult(
-        "linking_crosscheck", True, f"{len(recorder)} classifications"
-    )
+            return False, "linking verdict disagrees with the triple cup"
+        y = report.bockstein_rep
+        whole = torsion_linking(b, y, y).value
+        if value != whole:
+            return False, (f"self-linking {value} != torsion_linking(B, Y, Y) "
+                           f"= {whole}")
+    return True, f"{len(recorder)} classifications"
 
 
 def _index_multiset(b: IntMatrix) -> tuple[int, ...]:
@@ -329,7 +284,7 @@ def _index_multiset(b: IntMatrix) -> tuple[int, ...]:
 
 
 @_suite("presentation_invariance")
-def suite_presentation_invariance(trials: int = 200, seed: int = 20260825) -> SuiteResult:
+def suite_presentation_invariance(trials: int = 200, seed: int = 20260825):
     """The index multiset over all classes is invariant under unimodular
     congruence and under (+-1)-stabilization (blow-ups)."""
     rng = random.Random(seed)
@@ -339,29 +294,21 @@ def suite_presentation_invariance(trials: int = 200, seed: int = 20260825) -> Su
         base = _index_multiset(b)
         p = random_unimodular_matrix(rng, n)
         if _index_multiset(congruence_transform(b, p)) != base:
-            return SuiteResult(
-                "presentation_invariance", False,
-                f"congruence changed indices for b={b.to_lists()}, "
-                f"p={p.to_lists()}",
-            )
+            return False, (f"congruence changed indices for b={b.to_lists()}, "
+                           f"p={p.to_lists()}")
         eps = rng.choice((1, -1))
         stabilized = IntMatrix.from_rows([
             list(row) + [0] for row in b.entries
         ] + [[0] * n + [eps]])
         if _index_multiset(stabilized) != base:
-            return SuiteResult(
-                "presentation_invariance", False,
-                f"stabilization by ({eps}) changed indices for "
-                f"b={b.to_lists()}",
-            )
-    return SuiteResult(
-        "presentation_invariance", True, f"{trials} random presentations"
-    )
+            return False, (f"stabilization by ({eps}) changed indices for "
+                           f"b={b.to_lists()}")
+    return True, f"{trials} random presentations"
 
 
 @_suite("exact_linalg")
 def suite_exact_linalg(snf_trials: int = 500, solve_trials: int = 200,
-                       seed: int = 20260826) -> SuiteResult:
+                       seed: int = 20260826):
     """Smith form identities on random matrices; integral solvability
     against bounded brute force on small instances."""
     rng = random.Random(seed)
@@ -371,10 +318,7 @@ def suite_exact_linalg(snf_trials: int = 500, solve_trials: int = 200,
         b = random_matrix(rng, rows, cols, 100)
         dec = smith_normal_form(b)
         if not dec.verify(b):
-            return SuiteResult(
-                "exact_linalg", False,
-                f"SNF identity failed for a {rows}x{cols} matrix",
-            )
+            return False, f"SNF identity failed for a {rows}x{cols} matrix"
     bound = 5
     for _ in range(solve_trials):
         n = rng.randint(1, 3)
@@ -384,24 +328,13 @@ def suite_exact_linalg(snf_trials: int = 500, solve_trials: int = 200,
         claimed = is_in_integral_image(b, y)
         z = solve_integral(b, y)
         if found and not claimed:
-            return SuiteResult(
-                "exact_linalg", False,
-                f"brute force solves b={b.to_lists()}, y={y} but "
-                "is_in_integral_image says no",
-            )
+            return False, (f"brute force solves b={b.to_lists()}, y={y} but "
+                           "is_in_integral_image says no")
         if claimed != (z is not None):
-            return SuiteResult(
-                "exact_linalg", False,
-                "is_in_integral_image and solve_integral disagree",
-            )
+            return False, "is_in_integral_image and solve_integral disagree"
         if z is not None and b.mul_vec(z) != y:
-            return SuiteResult(
-                "exact_linalg", False, "solve_integral witness is wrong"
-            )
-    return SuiteResult(
-        "exact_linalg", True,
-        f"{snf_trials} SNF instances, {solve_trials} solve instances",
-    )
+            return False, "solve_integral witness is wrong"
+    return True, f"{snf_trials} SNF instances, {solve_trials} solve instances"
 
 
 def _brute_force_solvable(b: IntMatrix, y, bound: int) -> bool:

@@ -21,6 +21,17 @@ class PresentationError(ValueError):
     """Invalid surgery presentation input."""
 
 
+# the most link components a presentation may have; the Smith form of an
+# n x n block costs about n^3, and the matrix alone n^2 memory
+MAX_COMPONENTS = 1000
+
+
+def _check_components(n: int, what: str) -> None:
+    if n > MAX_COMPONENTS:
+        raise PresentationError(f"{what} has more than {MAX_COMPONENTS} "
+                                "link components, the limit")
+
+
 @dataclass(frozen=True)
 class SurgeryPresentation:
     """Framed link data as its linking matrix: framings a_ii on the
@@ -49,11 +60,16 @@ def linking_matrix(pres: SurgeryPresentation) -> IntMatrix:
 
 
 def negative_continued_fraction(p: int, q: int) -> list[int]:
-    """Coefficients a_i >= 2 with p/q = a_1 - 1/(a_2 - 1/(...))."""
+    """Coefficients a_i >= 2 with p/q = a_1 - 1/(a_2 - 1/(...)).
+
+    They are the components of the chain of L(p, q), so the expansion stops
+    with a PresentationError past MAX_COMPONENTS of them."""
     coeffs = []
+    what = f"the chain of L({p},{q})"
     while q:
         a = -((-p) // q)  # ceil(p / q)
         coeffs.append(a)
+        _check_components(len(coeffs), what)
         p, q = q, a * q - p
     return coeffs
 
@@ -105,6 +121,7 @@ def connected_sum(*parts: SurgeryPresentation) -> SurgeryPresentation:
     that of the last part (None for no parts).
     """
     n = sum(p.matrix.rows for p in parts)
+    _check_components(n, "the connected sum")
     rows = []
     before = 0
     for p in parts:
@@ -155,8 +172,13 @@ def _presentation_from_doc(doc) -> SurgeryPresentation:
     # sum is (label, iterator over the parts still to read, parts read), and
     # its parts are joined in one pass when the last one has been read.
     stack = []
+    components = 0
     while True:
         pres = _read_level(doc, stack)
+        # the document presents the sum of its leaves: count them as read
+        if pres is not None:
+            components += pres.matrix.rows
+            _check_components(components, "the document")
         # hand finished presentations to the open sums until one of them
         # has a part left to read
         while True:
@@ -221,6 +243,7 @@ def _read_matrix(matrix, label) -> SurgeryPresentation:
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise PresentationError('"matrix" must be an array of arrays')
     m = len(matrix)
+    _check_components(m, '"matrix"')
     big = 0
     for r in matrix:
         if len(r) != m:
@@ -261,10 +284,3 @@ def _presentation_from_preset(doc, keys, label, stack: list):
         pres = replace(pres, label=label)
     return pres
 
-
-def serialize_presentation(pres: SurgeryPresentation) -> str:
-    """Canonical JSON form; parse_presentation inverts it exactly."""
-    doc: dict = {"matrix": pres.matrix.to_lists()}
-    if pres.label is not None:
-        doc["label"] = pres.label
-    return json.dumps(doc)

@@ -136,7 +136,7 @@ def test_odd_class_in_span_is_caught():
 def test_per_class_work(monkeypatch):
     rng = random.Random(20261023)
     b = even_matrix(rng, 8)
-    counts = {"mul_vec": 0, "reduce": 0, "checked_solution": 0,
+    counts = {"mul_vec": 0, "reduce": 0, "solve": 0,
               "Fraction": 0, "row_sum": 0}
 
     def counted(name, original):
@@ -149,8 +149,8 @@ def test_per_class_work(monkeypatch):
                         counted("mul_vec", IntMatrix.mul_vec))
     monkeypatch.setattr(SmithDecomposition, "reduce",
                         counted("reduce", SmithDecomposition.reduce))
-    monkeypatch.setattr(borsuk, "checked_solution",
-                        counted("checked_solution", borsuk.checked_solution))
+    monkeypatch.setattr(SmithDecomposition, "solve",
+                        counted("solve", SmithDecomposition.solve))
     monkeypatch.setattr(borsuk, "_row_sum",
                         counted("row_sum", borsuk._row_sum))
     for module in (borsuk, homology):
@@ -158,12 +158,13 @@ def test_per_class_work(monkeypatch):
                             counted("Fraction", module.Fraction))
 
     # the basis classes, once per presentation: B X and the B X of
-    # triple_cup, U Y, and the checked V c and B z
+    # triple_cup, U Y for the verdict, and the solve's own U Y with the
+    # checked V c and B z
     analysis = analysed(b)
     k = len(analysis.basis)
     assert k == 8
-    assert (counts["mul_vec"], counts["reduce"], counts["checked_solution"],
-            counts["row_sum"]) == (5 * k, k, k, 0)
+    assert (counts["mul_vec"], counts["reduce"], counts["solve"],
+            counts["row_sum"]) == (6 * k, 2 * k, k, 0)
 
     # each class: one sum of the rows of B at its support, and no product
     # of a whole matrix with a vector, elimination or rational arithmetic
@@ -171,5 +172,5 @@ def test_per_class_work(monkeypatch):
         counts[key] = 0
     result = analysis.classify_all(cap=1 << k)
     assert len(result.reports) == 2 ** k - 1
-    assert counts == {"mul_vec": 0, "reduce": 0, "checked_solution": 0,
+    assert counts == {"mul_vec": 0, "reduce": 0, "solve": 0,
                       "Fraction": 0, "row_sum": 2 ** k - 1}

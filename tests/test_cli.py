@@ -174,10 +174,16 @@ class TestSelftest:
             borsuk, "triple_cup", lambda b, lift: 1 - original(b, lift)
         )
         result = suite_lens_sweep(pmax=12)
-        assert not result.passed
+        assert result.name == "lens_sweep" and not result.passed
 
 
 class TestErrorBoundary:
+    def test_too_many_components_exits_2(self, capsys):
+        # a chain of 99999 components is refused before its matrix is built
+        code, _ = run(["lens", "100000", "99999"])
+        assert code == 2
+        assert "link components, the limit" in capsys.readouterr().err
+
     def test_deep_nesting_exits_2(self, tmp_path, capsys):
         # json.dumps itself recurses, so the text is written out directly
         text = ('{"preset": "connected_sum", "parts": [' * 3000

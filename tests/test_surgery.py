@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from z2index.exactlinalg import IntMatrix, cokernel_structure
 from z2index.surgery import (
+    MAX_COMPONENTS,
     PresentationError,
     SurgeryPresentation,
     connected_sum,
@@ -16,7 +17,6 @@ from z2index.surgery import (
     linking_matrix,
     negative_continued_fraction,
     parse_presentation,
-    serialize_presentation,
 )
 
 
@@ -235,7 +235,10 @@ class TestParse:
     @given(presentations())
     @settings(max_examples=80, deadline=None)
     def test_roundtrip(self, pres):
-        assert parse_presentation(serialize_presentation(pres)) == pres
+        doc = {"matrix": pres.matrix.to_lists()}
+        if pres.label is not None:
+            doc["label"] = pres.label
+        assert parse_presentation(json.dumps(doc)) == pres
 
 
 def _pairwise_fold(doc):
@@ -303,3 +306,38 @@ class TestNestedSums:
             {"preset": "connected_sum", "parts": parts})
         assert linking_matrix(pres).to_lists() == rows
         assert pres.label == label
+
+
+class TestComponentLimit:
+    """Presentations past MAX_COMPONENTS link components are rejected before
+    their matrix is built."""
+
+    limit = f"more than {MAX_COMPONENTS} link components"
+
+    def test_lens_chain(self):
+        # L(p, p - 1) is a chain of p - 1 components
+        with pytest.raises(PresentationError, match=self.limit):
+            lens_presentation(MAX_COMPONENTS + 2, MAX_COMPONENTS + 1)
+        with pytest.raises(PresentationError, match=self.limit):
+            lens_presentation(10 ** 12, 10 ** 12 - 1)
+
+    def test_connected_sum(self):
+        half = SurgeryPresentation(
+            IntMatrix.diagonal([2] * (MAX_COMPONENTS // 2)))
+        assert connected_sum(half, half).matrix.rows == MAX_COMPONENTS
+        with pytest.raises(PresentationError, match=self.limit):
+            connected_sum(half, half, SurgeryPresentation(mat([[2]])))
+
+    def test_matrix_rows(self):
+        # the row count is checked before the rows are read
+        with pytest.raises(PresentationError, match=self.limit):
+            parse_presentation(json.dumps(
+                {"matrix": [[]] * (MAX_COMPONENTS + 1)}))
+
+    def test_document(self):
+        # two parts under the limit, whose sum is over it, are not both kept
+        chain = {"preset": "lens", "p": 601, "q": 600}
+        with pytest.raises(PresentationError,
+                           match="the document has " + self.limit):
+            parse_presentation(json.dumps(
+                {"preset": "connected_sum", "parts": [chain, chain]}))
