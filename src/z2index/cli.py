@@ -13,6 +13,10 @@ was written.
 
 JSON output comes from `render_json`, z2index's own indent-2 writer; its
 text is byte-identical to `json.dumps(doc, indent=2, ensure_ascii=False)`.
+
+`main` builds its argument parser on its first call and reuses it for
+every later call in the process.  The parser holds nothing derived from
+input; `build_parser()` returns a new parser on every call.
 """
 
 from __future__ import annotations
@@ -271,6 +275,7 @@ def cmd_selftest(args, out) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: {r.detail}", file=out)
+        print(f"{r.name}: {r.seconds:.3f} s", file=sys.stderr)
         if not r.passed:
             failed += 1
     print(f"{len(results) - failed}/{len(results)} suites passed", file=out)
@@ -286,6 +291,7 @@ def class_count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; `main` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="z2index",
         description="Classify the Borsuk-Ulam Z2-index of free involutions "
@@ -327,9 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by `main` on its first call, not at import, which would add the
+# build to every import of this module.  It holds only the fixed grammar,
+# nothing derived from input, so it memoizes nothing across presentations.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None, out=None) -> int:
+    global _parser
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args, out)
         out.flush()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -40,6 +41,7 @@ class SuiteResult:
     name: str
     passed: bool
     detail: str
+    seconds: float
 
 
 Recorder = list[tuple[IntMatrix, IndexReport]]
@@ -47,15 +49,18 @@ Recorder = list[tuple[IntMatrix, IndexReport]]
 
 def _suite(name):
     """Make the suite body, which returns (passed, detail), return the
-    SuiteResult named name; an internal invariant violation is reported as
-    a failure instead of escaping."""
+    SuiteResult named name with the body's wall time in seconds; an internal
+    invariant violation is reported as a failure instead of escaping."""
     def wrap(fn):
         @functools.wraps(fn)
         def run(*args, **kwargs) -> SuiteResult:
+            start = time.perf_counter()
             try:
-                return SuiteResult(name, *fn(*args, **kwargs))
+                passed, detail = fn(*args, **kwargs)
             except InvariantViolation as exc:
-                return SuiteResult(name, False, f"invariant violation: {exc}")
+                passed, detail = False, f"invariant violation: {exc}"
+            return SuiteResult(name, passed, detail,
+                               time.perf_counter() - start)
         return run
     return wrap
 

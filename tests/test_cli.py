@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import z2index
 import z2index.borsuk as borsuk
+import z2index.cli as cli
 import z2index.exactlinalg as exactlinalg
 from z2index.cli import main
 from z2index.exactlinalg import GF2Matrix, GF2Vector, IntMatrix
@@ -164,6 +166,22 @@ class TestSelftest:
         assert "FAIL" not in text
         assert text.strip().endswith("suites passed")
 
+    def test_suite_wall_times_go_to_stderr(self, capsys):
+        code, text = run(["selftest", "--quick"])
+        assert code == 0
+        names = [line.split()[1].rstrip(":")
+                 for line in text.splitlines()[:-1]]
+        assert names == ["sphere", "stolz", "s1xs2", "catalog"]
+        # stdout keeps its PASS/FAIL lines and summary, nothing else
+        assert all(line.startswith("PASS ")
+                   for line in text.splitlines()[:-1])
+        assert text.splitlines()[-1] == "4/4 suites passed"
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in err] == names
+        for line in err:
+            seconds, unit = line.split(": ")[1].split(" ")
+            assert unit == "s" and float(seconds) >= 0
+
     def test_injected_sign_bug_is_caught(self, monkeypatch):
         # flip the parity criterion and the lens sweep must fail
         import z2index.borsuk as borsuk
@@ -263,6 +281,96 @@ class TestErrorBoundary:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert err == "", err  # no traceback, no "Exception ignored"
+
+
+def _run_fresh(*args):
+    """`python *args` in a new interpreter that imports this z2index:
+    (exit code, stdout, stderr)."""
+    src = str(Path(z2index.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _run_here(argv, capsys):
+    """`main(argv)` in this process, as (exit code, stdout, stderr), with
+    argparse's own exits (errors, --version) taken as exit codes."""
+    out = io.StringIO()
+    try:
+        code = main(argv, out=out)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, out.getvalue() + captured.out, captured.err
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    def test_reuse_carries_nothing_between_calls(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # argparse wraps usage lines at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        path = write_doc(tmp_path, {"matrix": [[2, 1], [1, -2]]})
+        seen = []
+        classify = cli._classify_presentation
+
+        def recorded(pres, args, warnings):
+            seen.append(args)
+            return classify(pres, args, warnings)
+
+        monkeypatch.setattr(cli, "_classify_presentation", recorded)
+        argvs = [
+            ["lens", "6", "1", "--cap", "0", "--allow-truncate",
+             "--no-crosscheck", "--format", "text"],
+            ["lens", "2", "1", "--cap", "-5"],
+            ["--version"],
+            ["lens", "6", "1", "--format", "json"],
+            ["analyze", path, "--format", "json"],
+        ]
+        here = [_run_here(argv, capsys) for argv in argvs]
+        assert [code for code, _, _ in here] == [0, 2, 0, 0, 0]
+        assert here == [_run_fresh("-m", "z2index.cli", *argv)
+                        for argv in argvs]
+        # the flags of call 1 do not carry over: call 4 has the defaults
+        first, fourth = seen[0], seen[1]
+        assert (first.cap, first.allow_truncate, first.no_crosscheck) == (
+            0, True, True)
+        assert (fourth.cap, fourth.allow_truncate, fourth.no_crosscheck) == (
+            1024, False, False)
+        doc = json.loads(here[3][1])
+        assert not doc["truncated"]
+        assert doc["classes"][0]["self_linking"] is not None
+
+    def test_later_calls_construct_no_parser(self, monkeypatch):
+        run(["lens", "6", "1"])
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(50):
+            assert run(["lens", "6", "1", "--format", "json"])[0] == 0
+        assert constructed == []
+        # build_parser() still returns a new parser on every call
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second and constructed
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *a, **k):\n"
+                "    built.append(self)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import z2index.cli\n"
+                "print(len(built))\n")
+        assert _run_fresh("-c", code) == (0, "0\n", "")
 
 
 def _count_calls(monkeypatch, name):
