@@ -12,45 +12,47 @@ an independent cross-check: it must equal (1/4) X^T B X mod 1 and be 1/2
 exactly in the index-3 case.
 
 On the mod-2 kernel K = ker(B mod 2) all three are GF(2)-linear in x.  The
-triple cup is, because X^T B X' is even when B X' is even.  The Bockstein
-is a linear map K -> coker(B)[2].  The self-linking is, because
-2 lk(a, b) = lk(2a, b) = 0 for a and b of order 2.  So an `Analysis`
-classifies the k basis classes of K once, through the exact path: B X,
-the Smith-form reduction of Y with its order check, the public
-`triple_cup` and, with the cross-check, an exact solution z of B z = 2Y
-and the quarter-form comparison, and keeps the results as bitmasks over
-the basis.  The rest of the presentation's data (symmetry check, Smith
-forms, kernel basis) is computed there once, too.
+triple cup is, because X^T B X' is even when B X' is even.  The
+self-linking is, because 2 lk(a, b) = lk(2a, b) = 0 for a and b of order
+2.  The Bockstein vanishes exactly on K1, the reduction mod 2 of ker_Z(B)
+(Bockstein sequence; Hatcher, Algebraic Topology, 3.E).  So an `Analysis`
+classifies the k basis classes of K once: B X, the public `triple_cup`
+and, with the cross-check, the order n of Y, an exact solution z of
+B z = nY and the quarter-form comparison; it keeps these as bitmasks over
+the basis, and K1 as a GF(2) echelon of masks.
 
 B is block-diagonal up to a permutation, with one block per connected
-component of the graph in which i and j are joined when B_ij != 0; a
-connected sum of lens spaces has one block per summand.  H_1, K, the
-Bockstein into coker(B)[2] and the linking form split as direct sums over
-the blocks.  So each elimination runs once per block: the Smith form,
-about m^3 on an m x m block, and the mod-2 elimination, whose kernel
-vectors, embedded in B, are the basis of K.  A basis class is reduced by
-the Smith form of its own block.  An `Analysis` checks that its blocks
-partition the indices of B and hold every nonzero entry of B, so that a
-split cannot lose kernel vectors.  Nothing is kept from one presentation
-to the next.
+component of the graph in which i and j are joined when B_ij != 0.  H_1,
+K, K1 and the linking form split as direct sums over the blocks.  So each
+block gets one mod-2 elimination, whose kernel vectors, embedded in B, are
+the basis of K, and one `eliminate`.  A block with no mod-2 kernel vector
+has odd determinant and runs bare: its diagonal is all H_1 needs.  Any
+other block is bordered by the Y of its basis classes and by I below: the
+border gives U Y to the cross-check, and the columns of V at the zero
+diagonal entries span ker_Z, saturated since V is unimodular.  Each is
+checked to solve B Z = 0 exactly, and dim K1 to be b1.  An `Analysis`
+checks that its blocks partition the indices of B and hold every nonzero
+entry of B, so that a split cannot lose kernel vectors.  Nothing is kept
+from one presentation to the next.
 
 A class is then a mask over the basis.  It costs one B X, the sum of the
 rows of B at the support of X, which gives the reported Y and
-X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is the XOR and
-the parity of the basis masks.  The class checks that B X is even, so
-that a block matrix that adds kernel vectors shows, that the trichotomy
-holds, and that the linearly extended triple cup and self-linking equal
-its own X . Y mod 2, which keeps the cross-check off the path of the
-verdict it checks.
+X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is the parity
+of the basis masks and the reduction of its mask against K1.  The class
+checks that B X is even, so that a block matrix that adds kernel vectors
+shows, that the trichotomy holds, and that the linearly extended triple
+cup and self-linking equal its own X . Y mod 2, which keeps the
+cross-check off the path of the verdict it checks.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import compress
 
 from .exactlinalg import (
     AbelianGroup,
@@ -59,15 +61,16 @@ from .exactlinalg import (
     GF2Vector,
     IntMatrix,
     InvariantViolation,
-    SmithDecomposition,
+    checked_solution,
     connected_blocks,
     diagonal_cokernel,
+    eliminate,
     gf2_kernel_basis,
+    identity_rows,
     is_in_integral_image,
     principal_submatrix,
-    smith_normal_form,
 )
-from .homology import CoverClass, QmodZ, kernel_span, xor_span
+from .homology import CoverClass, QmodZ, kernel_span
 
 _ZERO = QmodZ(Fraction(0))
 _HALF = QmodZ(Fraction(1, 2))
@@ -142,33 +145,32 @@ def _parity(word: int) -> int:
     return word.bit_count() & 1
 
 
-def _xor_selected(mask: int, words) -> int:
-    """The sum over GF(2) of the words whose position is a bit of mask."""
-    total = 0
-    for i, word in enumerate(words):
-        if mask >> i & 1:
-            total ^= word
-    return total
+def _reduce(mask: int, echelon) -> int:
+    """mask reduced by an echelon sorted by distinct lowest bits; 0 exactly
+    on its span."""
+    for row in echelon:
+        if mask & row & -row:
+            mask ^= row
+    return mask
 
 
 @dataclass(frozen=True)
 class Block:
     """One connected block of a linking matrix: its indices in ascending
-    order, the principal submatrix b on them, and the Smith form of b."""
+    order and the principal submatrix b on them."""
 
     index: tuple[int, ...]
     b: IntMatrix
-    smith: SmithDecomposition
 
 
 @dataclass(frozen=True)
 class Analysis:
     """What the classification needs of one presentation, computed once.
 
-    It holds the connected blocks of b, each with its Smith form, the
-    mod-2 kernel basis, taken block by block, and, as bitmasks over that
-    basis, the verdict data of each basis class: `cup_mask`, `beta_rows`
-    and `linking_mask`."""
+    It holds the connected blocks of b, the mod-2 kernel basis, taken
+    block by block, one `eliminate` of each block, and, as bitmasks over
+    that basis, the verdict data: `cup_mask`, the echelon of the integral
+    kernel mod 2 and `linking_mask`."""
 
     b: IntMatrix
     blocks: tuple[Block, ...]
@@ -189,11 +191,8 @@ class Analysis:
     def of(cls, b: IntMatrix) -> "Analysis":
         if not b.is_symmetric:
             raise DimensionError("linking matrix must be symmetric")
-        blocks = []
-        for index in connected_blocks(b):
-            sub = principal_submatrix(b, index)
-            blocks.append(Block(index, sub, smith_normal_form(sub)))
-        return cls(b, tuple(blocks))
+        return cls(b, tuple(Block(index, principal_submatrix(b, index))
+                            for index in connected_blocks(b)))
 
     @cached_property
     def _block_kernels(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -216,19 +215,11 @@ class Analysis:
             for _, t, lift in self._block_kernels)
 
     @cached_property
-    def homology(self) -> AbelianGroup:
-        """H_1 of the surgered manifold: the direct sum of the cokernels of
-        the blocks, from the diagonals of their Smith forms."""
-        return diagonal_cokernel(
-            [d for block in self.blocks for d in block.smith.diagonal])
-
-    @cached_property
     def _basis_classes(self) -> tuple[tuple, ...]:
-        """(t, lift, Y, order of Y, c, triple cup) of each basis class.
+        """(t, lift, Y, triple cup) of each basis class.
 
         The class lies in block t, and lift and Y are restricted to that
-        block, where B X vanishes outside it; (order, c) =
-        blocks[t].smith.reduce(Y)."""
+        block, where B X vanishes outside it."""
         rows = []
         for _, t, lift in self._block_kernels:
             block = self.blocks[t]
@@ -242,15 +233,63 @@ class Analysis:
                     f"mod-2 kernel basis class {list(lift)} of block "
                     f"{list(block.index)}: {exc}"
                 ) from exc
-            # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
-            order, coeffs = block.smith.reduce(y)
-            if order not in (1, 2):
-                raise InvariantViolation(
-                    f"Bockstein representative has order {order} in "
-                    "coker(B), not 1 or 2"
-                )
-            rows.append((t, lift, y, order, coeffs, cup))
+            rows.append((t, lift, y, cup))
         return tuple(rows)
+
+    @cached_property
+    def _eliminated(self) -> tuple[list[list[int]], ...]:
+        """The rows of each block after its one `eliminate`: [U b V | U Y]
+        over V, with a column Y for each basis class of the block in basis
+        order, or U b V alone for a block with no basis class."""
+        borders = [[] for _ in self.blocks]
+        for t, _, y, _ in self._basis_classes:
+            borders[t].append(y)
+        return tuple(
+            eliminate([list(row) + [y[i] for y in ys]
+                       for i, row in enumerate(block.b.entries)]
+                      + (identity_rows(block.b.rows) if ys else []),
+                      block.b.rows, block.b.rows)
+            for block, ys in zip(self.blocks, borders))
+
+    @cached_property
+    def homology(self) -> AbelianGroup:
+        """H_1 of the surgered manifold: the direct sum of the cokernels of
+        the blocks, from the diagonals of their Smith forms."""
+        return diagonal_cokernel([
+            rows[i][i] for block, rows in zip(self.blocks, self._eliminated)
+            for i in range(block.b.rows)])
+
+    @cached_property
+    def _integral_kernel(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(t, Z) for each column Z of the V of block t at a zero diagonal
+        entry: a basis of ker_Z(b).  A bare block has no V, so Z = ()."""
+        return tuple(
+            (t, tuple(row[j] for row in rows[block.b.rows:]))
+            for t, (block, rows) in enumerate(zip(self.blocks,
+                                                  self._eliminated))
+            for j in range(block.b.rows) if rows[j][j] == 0)
+
+    @cached_property
+    def _kernel_echelon(self) -> tuple[int, ...]:
+        """K1 as a GF(2) echelon of masks over the basis: beta(x) = 0
+        exactly when the mask of x reduces to 0.  Each Z is checked to solve
+        b Z = 0, so that it reduces into the span of the basis, where its
+        coordinate on the vector of free column f is Z_f; and dim K1 = b1."""
+        echelon = []
+        for t, z in self._integral_kernel:
+            block = self.blocks[t]
+            if len(z) != block.b.rows or any(block.b.mul_vec(z)):
+                raise InvariantViolation("a kernel column of V does not solve "
+                                         f"B Z = 0 on block {list(block.index)}")
+            if mask := _reduce(sum(
+                    (z[bisect_left(block.index, f)] & 1) << i
+                    for i, (f, s, _) in enumerate(self._block_kernels)
+                    if s == t), echelon):
+                echelon = sorted((*echelon, mask), key=lambda row: row & -row)
+        if len(echelon) != self.homology.free_rank:
+            raise InvariantViolation(f"dim K1 = {len(echelon)} != b1 = "
+                                     f"{self.homology.free_rank}")
+        return tuple(echelon)
 
     @cached_property
     def cup_mask(self) -> int:
@@ -259,31 +298,30 @@ class Analysis:
                    for i, (*_, cup) in enumerate(self._basis_classes))
 
     @cached_property
-    def beta_rows(self) -> tuple[int, ...]:
-        """Entry i: the Bockstein image of basis class i in coker(B)[2], the
-        direct sum of the blocks' coker[2].  Block t's Smith coordinates
-        start at bit offsets[t]; bit offsets[t] + j is set when the order
-        is 2 and c_j is odd."""
-        offsets = tuple(accumulate(
-            (len(block.index) for block in self.blocks), initial=0))
-        return tuple(
-            sum((cj & 1) << j for j, cj in enumerate(coeffs)) << offsets[t]
-            if order == 2 else 0
-            for t, _, _, order, coeffs, _ in self._basis_classes
-        )
-
-    @cached_property
     def linking_mask(self) -> int:
         """Bit i: the self-linking of basis class i is 1/2.
 
-        Each value is lk(Y, Y) = (z . Y)/n for an exact solution z of
-        B z = nY in the block of the class, checked against the quarter form
+        Each value is lk(Y, Y) = (z . Y)/n, with the order n of Y from the
+        column U Y of its block and the diagonal, and z = V c an exact
+        solution of B z = nY in the block, checked against the quarter form
         (1/4) X^T B X and the triple cup of the class."""
         mask = 0
-        for i, (t, lift, y, _, _, cup) in enumerate(self._basis_classes):
-            block = self.blocks[t]
-            # a reduction of its own, apart from the verdict's coefficients
-            n, z = block.smith.solve(block.b, y)
+        # the border column of the next class of each block, which is U Y
+        column = [block.b.rows for block in self.blocks]
+        for i, (t, lift, y, cup) in enumerate(self._basis_classes):
+            block, rows = self.blocks[t], self._eliminated[t]
+            m, col = block.b.rows, column[t]
+            column[t] += 1
+            # infinite order, None, fails the order check below
+            n, z = checked_solution(
+                block.b, y, [row[col] for row in rows[:m]],
+                [rows[j][j] for j in range(m)], rows[m:]) or (None, ())
+            # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
+            if n not in (1, 2):
+                raise InvariantViolation(
+                    f"Bockstein representative has order {n} in "
+                    "coker(B), not 1 or 2"
+                )
             linking = QmodZ.from_fraction(Fraction(_dot(z, y), n))
             expected = QmodZ.from_fraction(Fraction(2 * _dot(lift, y), 4))
             if linking != expected:
@@ -303,11 +341,10 @@ class Analysis:
             mask |= (linking == _HALF) << i
         return mask
 
-    def _report(self, mask: int, x: CoverClass, crosscheck: bool,
-                beta: int) -> IndexReport:
+    def _report(self, mask: int, x: CoverClass,
+                crosscheck: bool) -> IndexReport:
         """Classify the class x, which is the sum of the basis classes in
-        mask and has the Bockstein word beta, from the basis masks and one
-        B X."""
+        mask, from the basis masks and one B X."""
         lift = x.bits()
         # b is symmetric, which `of` checked, so its rows are its columns
         w = _row_sum(self.b, lift)
@@ -323,7 +360,7 @@ class Analysis:
                 f"triple cup {cup} from the basis != (1/2) X^T B X mod 2 = "
                 f"{direct} for class {list(lift)}"
             )
-        vanishes = beta == 0
+        vanishes = _reduce(mask, self._kernel_echelon) == 0
         if cup == 1 and vanishes:
             raise InvariantViolation(
                 "triple cup nonzero but Bockstein vanishes: trichotomy broken"
@@ -357,11 +394,13 @@ class Analysis:
         # pivot columns, so the bit f of x is its coordinate on that vector
         mask = sum(v.bit(f) << i
                    for i, (f, _, _) in enumerate(self._block_kernels))
-        if _xor_selected(mask, (u.bits for u in self.basis)) != v.bits:
+        span = 0
+        for i, u in enumerate(self.basis):
+            span ^= u.bits if mask >> i & 1 else 0
+        if span != v.bits:
             raise ValueError("class is not in the mod-2 kernel of the "
                              "linking matrix")
-        return self._report(mask, x, crosscheck,
-                            _xor_selected(mask, self.beta_rows))
+        return self._report(mask, x, crosscheck)
 
     def classify_all(self, cap: int = 1024, *,
                      crosscheck: bool = True) -> ClassificationResult:
@@ -375,12 +414,8 @@ class Analysis:
                 analysis=self,
             )
         span, truncated = kernel_span(self.basis, cap)
-        # the Bockstein word of each mask; past the cap the span is the basis
-        beta = ({1 << i: word for i, word in enumerate(self.beta_rows)}
-                if truncated else xor_span(self.beta_rows))
-        reports = tuple(
-            self._report(mask, CoverClass(v), crosscheck, beta[mask])
-            for mask, v in span)
+        reports = tuple(self._report(mask, CoverClass(v), crosscheck)
+                        for mask, v in span)
         note = None
         if not reports:
             note = "no connected double cover"

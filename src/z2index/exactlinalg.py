@@ -151,49 +151,15 @@ class SmithDecomposition:
         d = self.s.diagonal_entries()
         return d + (0,) * (self.s.rows - len(d))
 
-    def reduce(self, y) -> tuple[int | None, tuple[int, ...]]:
-        """Transform y by u and walk the diagonal of s, in one pass.
-
-        Returns (n, c).  n is the least n >= 1 with n*y in im(b), or None
-        when y has infinite order in coker(b).  For finite n, c holds the
-        coefficients n*w_i/d_i (0 where d_i = 0), so that v @ c is an
-        integer z with b @ z == n*y; for infinite order c is empty.  y must
-        be a tuple of ints of length b.rows.
-        """
-        w = self.u.mul_vec(y)
-        n = 1
-        for wi, di in zip(w, self.diagonal):
-            if di == 0:
-                if wi:
-                    return None, ()
-            elif wi % di:
-                n = lcm(n, di // gcd(di, wi))
-        c = [n * wi // di if di else 0 for wi, di in zip(w, self.diagonal)]
-        cols = self.s.cols
-        return n, tuple(c[:cols] + [0] * (cols - len(c)))
-
     def solve(self, b: IntMatrix, y):
-        """(n, z) with n the order of y in coker(b) and z = v @ c an integer
-        solution of b @ z == n*y, checked exactly; None when y has infinite
-        order.  self must decompose b."""
+        """`checked_solution` through u, s and v, which decompose b."""
         y = _int_vector(y, b.rows)
-        n, c = self.reduce(y)
-        if n is None:
-            return None
-        z = self.v.mul_vec(c)
-        if b.mul_vec(z) != tuple(n * e for e in y):
-            raise InvariantViolation(
-                "the Smith-form solution z does not solve b z = n y"
-            )
-        return n, z
+        return checked_solution(b, y, self.u.mul_vec(y), self.diagonal,
+                                self.v.entries)
 
     def cokernel(self) -> "AbelianGroup":
         """Z^m / im(b) for the square matrix b that this decomposes."""
-        d = self.s.diagonal_entries()
-        return AbelianGroup(
-            invariant_factors=tuple(f for f in d if f >= 2),
-            free_rank=sum(1 for f in d if f == 0),
-        )
+        return diagonal_cokernel(self.diagonal)
 
     def verify(self, b: IntMatrix) -> bool:
         if (self.u @ b @ self.v) != self.s:
@@ -230,24 +196,22 @@ class AbelianGroup:
         return not self.invariant_factors and self.free_rank == 0
 
 
-def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms: u @ b @ v == s.
+def eliminate(a: list[list[int]], m: int, n: int) -> list[list[int]]:
+    """Bring the leading m x n block of the rows a to Smith normal form in
+    place, and return a.  Row operations act on whole rows and column
+    operations on every row, so rows [b | C] over rows [D] end as
+    [U b V | U C] over [D V], with U b V = S.
 
     Pivot policy (Kannan-Bachem): the pivot at (t, t) is the nonzero entry
-    of least absolute value in the trailing block a[t:, t:], the search
+    of least absolute value in the trailing block a[t:m, t:n], the search
     stopping at the first unit, moved there by one row and one column swap.
     It reduces every row below and every column to its right; a remainder
     left in row t or column t starts a new search.  Once both are clear, a
     pivot other than +-1 that fails to divide a trailing row takes that row
     into row t and searches again.  Re-picking the least entry of the whole
-    block keeps the entries of u and v small on dense input.  Rows with a
-    negative diagonal entry are negated last.  Nothing is memoized: each
-    call eliminates b.
+    block keeps the entries of U and V small on dense input.  Rows with a
+    negative diagonal entry are negated last.
     """
-    m, n = b.rows, b.cols
-    a = b.to_lists()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0
     while t < min(m, n):
         best = None
@@ -265,46 +229,78 @@ def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
             break
         _, i, j = best
         a[t], a[i] = a[i], a[t]
-        u[t], u[i] = u[i], u[t]
         if j != t:
-            for r in a[t:] + v:
+            for r in a[t:]:
                 r[t], r[j] = r[j], r[t]
         # rows above t and columns left of t are clear off the diagonal
-        p, at, ut = a[t][t], a[t], u[t]
-        for i in range(t + 1, m):
-            if a[i][t] and (q := a[i][t] // p):
-                ai, ui = a[i], u[i]
-                for k in range(t, n):
-                    ai[k] -= q * at[k]
-                for k in range(m):
-                    ui[k] -= q * ut[k]
-        rows = a[t:] + v
-        for j in range(t + 1, n):
-            q = a[t][j] // p
-            if q:
-                for r in rows:
-                    r[j] -= q * r[t]
-        if any(map(operator.itemgetter(t), a[t + 1:])) or any(a[t][t + 1:]):
+        at, p = a[t], a[t][t]
+        pivot_row = [(k, e) for k, e in enumerate(at) if e]
+        for ai in a[t + 1:m]:
+            if ai[t] and (q := ai[t] // p):
+                for k, e in pivot_row:
+                    ai[k] -= q * e
+        column_ops = [(j, q) for j in range(t + 1, n) if (q := at[j] // p)]
+        if column_ops:
+            for r in a[t:]:
+                if rt := r[t]:
+                    for j, q in column_ops:
+                        r[j] -= q * rt
+        if any(map(operator.itemgetter(t), a[t + 1:m])) or any(at[t + 1:n]):
             continue
         if p not in (1, -1):
             # the pivot must divide the trailing block, or the divisor
             # chain fails later; add an offending row to row t
             off = next((i for i in range(t + 1, m)
-                        if any(e % p for e in a[i][t + 1:])), None)
+                        if any(e % p for e in a[i][t + 1:n])), None)
             if off is not None:
-                a[t] = [x + y for x, y in zip(a[t], a[off])]
-                u[t] = [x + y for x, y in zip(u[t], u[off])]
+                a[t] = [x + y for x, y in zip(at, a[off])]
                 continue
         t += 1
     for i in range(min(m, n)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
+    return a
+
+
+def identity_rows(n: int) -> list[list[int]]:
+    """The rows of I_n, as lists for `eliminate`."""
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
+def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with transforms, u @ b @ v == s: `eliminate` of b
+    bordered by I_m on the right and I_n below.  Nothing is memoized."""
+    m, n = b.rows, b.cols
+    a = eliminate([list(row) + unit for row, unit in zip(b.entries,
+                                                         identity_rows(m))]
+                  + identity_rows(n), m, n)
     return SmithDecomposition(
-        u=IntMatrix(m, m, tuple(map(tuple, u))),
-        s=IntMatrix(m, n, tuple(map(tuple, a))),
-        v=IntMatrix(n, n, tuple(map(tuple, v))),
+        u=IntMatrix(m, m, tuple(tuple(row[n:]) for row in a[:m])),
+        s=IntMatrix(m, n, tuple(tuple(row[:n]) for row in a[:m])),
+        v=IntMatrix(n, n, tuple(map(tuple, a[m:]))),
     )
+
+
+def checked_solution(b: IntMatrix, y, w, diagonal, v_rows):
+    """(n, z) with n the least n >= 1 with n*y in im(b) and z = V c an
+    integer solution of b z == n*y, checked exactly, from w = U y, the
+    diagonal of S = U b V and the rows of V; None when y has infinite order
+    in coker(b).  c_i = n*w_i/d_i, and 0 where d_i = 0."""
+    n = 1
+    for wi, di in zip(w, diagonal):
+        if di == 0:
+            if wi:
+                return None
+        elif wi % di:
+            n = lcm(n, di // gcd(di, wi))
+    c = [n * wi // di if di else 0 for wi, di in zip(w, diagonal)]
+    c += [0] * (len(v_rows) - len(c))
+    z = tuple(sum(map(operator.mul, row, c)) for row in v_rows)
+    if b.mul_vec(z) != tuple(n * e for e in y):
+        raise InvariantViolation(
+            "the Smith-form solution z does not solve b z = n y"
+        )
+    return n, z
 
 
 def diagonal_cokernel(diagonal) -> AbelianGroup:
@@ -385,8 +381,8 @@ def _int_vector(y, rows: int) -> tuple[int, ...]:
 
 def order_in_cokernel(b: IntMatrix, y):
     """Least n >= 1 with n*y in im(b), or None when y has infinite order."""
-    y = _int_vector(y, b.rows)
-    return smith_normal_form(b).reduce(y)[0]
+    solved = smith_normal_form(b).solve(b, y)
+    return solved[0] if solved else None
 
 
 def is_in_integral_image(b: IntMatrix, y) -> bool:

@@ -151,7 +151,7 @@ def torsion_linking(b: IntMatrix, a, c) -> QmodZ:
         raise NonTorsionError("first class has infinite order in coker(b)")
     n, z = solved
     c = _int_vector(c, b.rows)
-    if dec.reduce(c)[0] is None:
+    if dec.solve(b, c) is None:
         raise NonTorsionError("second class has infinite order in coker(b)")
     return QmodZ.from_fraction(
         Fraction(sum(zi * ci for zi, ci in zip(z, c)), n)

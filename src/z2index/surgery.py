@@ -112,6 +112,26 @@ def empty_presentation(label: str | None = "S^3") -> SurgeryPresentation:
     return SurgeryPresentation(IntMatrix(0, 0, ()), label)
 
 
+def _block_diagonal(matrices) -> IntMatrix:
+    """The square matrices joined block-diagonally, in order, in one pass."""
+    n = sum(b.rows for b in matrices)
+    _check_components(n, "the connected sum")
+    rows = []
+    before = 0
+    for b in matrices:
+        # each row of b between zeros for the components of the other parts
+        left, right = (0,) * before, (0,) * (n - before - b.rows)
+        rows += [left + row + right for row in b.entries]
+        before += b.rows
+    return IntMatrix(n, n, tuple(rows))
+
+
+def _sum_label(labels) -> str | None:
+    """The labels that are not empty joined by " # "; when there is none,
+    the last label (None for no labels)."""
+    return " # ".join(filter(None, labels)) or (labels[-1] if labels else None)
+
+
 def connected_sum(*parts: SurgeryPresentation) -> SurgeryPresentation:
     """Block-diagonal union, in one pass; presents the connected sum of the
     surgered manifolds.
@@ -120,21 +140,8 @@ def connected_sum(*parts: SurgeryPresentation) -> SurgeryPresentation:
     that have one are joined by " # ", and when none has one the label is
     that of the last part (None for no parts).
     """
-    n = sum(p.matrix.rows for p in parts)
-    _check_components(n, "the connected sum")
-    rows = []
-    before = 0
-    for p in parts:
-        # each row of p between zeros for the components of the other parts
-        left, right = (0,) * before, (0,) * (n - before - p.matrix.rows)
-        rows += [left + row + right for row in p.matrix.entries]
-        before += p.matrix.rows
-    labels = [p.label for p in parts if p.label]
-    if labels:
-        label = " # ".join(labels)
-    else:
-        label = parts[-1].label if parts else None
-    return SurgeryPresentation(IntMatrix(n, n, tuple(rows)), label)
+    return SurgeryPresentation(_block_diagonal([p.matrix for p in parts]),
+                               _sum_label([p.label for p in parts]))
 
 
 # each preset with the keys, besides "label", that its document may have
@@ -169,31 +176,31 @@ _END = object()
 def _presentation_from_doc(doc) -> SurgeryPresentation:
     # Nested connected sums are read with an explicit stack, so that their
     # depth is bounded by memory and not by the recursion limit.  Each open
-    # sum is (label, iterator over the parts still to read, parts read), and
-    # its parts are joined in one pass when the last one has been read.
+    # sum is (label, iterator over the parts still to read, labels of the
+    # parts read).  The leaves, in document order, are joined once, when the
+    # outermost sum closes; an inner sum only works out its label.
     stack = []
+    leaves = []
     components = 0
     while True:
         pres = _read_level(doc, stack)
-        # the document presents the sum of its leaves: count them as read
         if pres is not None:
+            if not stack:
+                return pres
+            # the document presents the sum of its leaves: count them as read
             components += pres.matrix.rows
             _check_components(components, "the document")
-        # hand finished presentations to the open sums until one of them
-        # has a part left to read
-        while True:
-            if pres is not None:
-                if not stack:
-                    return pres
-                stack[-1][2].append(pres)
-            label, parts, done = stack[-1]
-            doc = next(parts, _END)
-            if doc is not _END:
-                break
-            stack.pop()
-            pres = connected_sum(*done)
-            if label is not None:
-                pres = replace(pres, label=label)
+            leaves.append(pres.matrix)
+            stack[-1][2].append(pres.label)
+        # close the open sums that have no part left to read, each handing
+        # its label to the sum it is a part of
+        while (doc := next(stack[-1][1], _END)) is _END:
+            label, _, labels = stack.pop()
+            if label is None:
+                label = _sum_label(labels)
+            if not stack:
+                return SurgeryPresentation(_block_diagonal(leaves), label)
+            stack[-1][2].append(label)
 
 
 def _read_level(doc, stack: list):

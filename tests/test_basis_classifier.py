@@ -86,7 +86,7 @@ def test_class_outside_kernel_raises_value_error():
 def analysed(b):
     """An Analysis of b with its basis data computed."""
     analysis = Analysis.of(b)
-    analysis.cup_mask, analysis.beta_rows, analysis.linking_mask
+    analysis.cup_mask, analysis._kernel_echelon, analysis.linking_mask
     return analysis
 
 
@@ -105,23 +105,47 @@ def test_flipped_cup_or_linking_bit_is_caught(name):
 
 
 def test_flipped_beta_bit_is_caught():
-    # a basis class of triple cup 1 whose Bockstein image has one bit: with
-    # that bit flipped its Bockstein vanishes, against the trichotomy
-    flips = 0
+    # the Bockstein verdict reads K1, the integral kernel mod 2.  A flipped
+    # echelon bit, above the row's lowest one, at a basis class of triple
+    # cup 1 puts a class of triple cup 1 into K1, against the trichotomy,
+    # since every class of K1 has triple cup 0.  A kernel vector with one
+    # coordinate moved by 1 fails B Z = 0 or reduces to 0 mod 2, and a
+    # dropped one leaves dim K1 below b1
+    caught = {"echelon": 0, "moved": 0, "dropped": 0}
     for kind in ("dense", "even", "singular"):
         for b in matrices(kind, seed=20261022, count=40):
             analysis = analysed(b)
-            for i, row in enumerate(analysis.beta_rows):
-                if not (analysis.cup_mask >> i & 1 and row.bit_count() == 1):
-                    continue
-                flipped = analysed(b)
-                rows = list(analysis.beta_rows)
-                rows[i] ^= row
-                vars(flipped)["beta_rows"] = tuple(rows)
-                with pytest.raises(InvariantViolation):
-                    flipped.classify_all(cap=1 << b.rows)
-                flips += 1
-    assert flips > 0
+            echelon = analysis._kernel_echelon
+            for r, row in enumerate(echelon):
+                for i in range((row & -row).bit_length(),
+                               len(analysis.basis)):
+                    if not analysis.cup_mask >> i & 1:
+                        continue
+                    flipped = analysed(b)
+                    vars(flipped)["_kernel_echelon"] = (
+                        echelon[:r] + (row ^ 1 << i,) + echelon[r + 1:])
+                    with pytest.raises(InvariantViolation,
+                                       match="trichotomy"):
+                        flipped.classify_all(cap=1 << b.rows)
+                    caught["echelon"] += 1
+            kernel = analysis._integral_kernel
+            for v, (t, z) in enumerate(kernel):
+                for j in range(len(z)):
+                    moved = Analysis.of(b)
+                    vars(moved)["_integral_kernel"] = (
+                        kernel[:v]
+                        + ((t, z[:j] + (z[j] + 1,) + z[j + 1:]),)
+                        + kernel[v + 1:])
+                    with pytest.raises(InvariantViolation):
+                        moved.classify_all(cap=1 << b.rows)
+                    caught["moved"] += 1
+                dropped = Analysis.of(b)
+                vars(dropped)["_integral_kernel"] = (
+                    kernel[:v] + kernel[v + 1:])
+                with pytest.raises(InvariantViolation, match="b1"):
+                    dropped.classify_all(cap=1 << b.rows)
+                caught["dropped"] += 1
+    assert all(caught.values()), caught
 
 
 def test_odd_class_in_span_is_caught():
@@ -136,8 +160,8 @@ def test_odd_class_in_span_is_caught():
 def test_per_class_work(monkeypatch):
     rng = random.Random(20261023)
     b = even_matrix(rng, 8)
-    counts = {"mul_vec": 0, "reduce": 0, "solve": 0,
-              "Fraction": 0, "row_sum": 0}
+    counts = {"mul_vec": 0, "eliminate": 0, "solve": 0, "Fraction": 0,
+              "row_sum": 0}
 
     def counted(name, original):
         def call(*args, **kwargs):
@@ -147,8 +171,8 @@ def test_per_class_work(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "mul_vec",
                         counted("mul_vec", IntMatrix.mul_vec))
-    monkeypatch.setattr(SmithDecomposition, "reduce",
-                        counted("reduce", SmithDecomposition.reduce))
+    monkeypatch.setattr(borsuk, "eliminate",
+                        counted("eliminate", borsuk.eliminate))
     monkeypatch.setattr(SmithDecomposition, "solve",
                         counted("solve", SmithDecomposition.solve))
     monkeypatch.setattr(borsuk, "_row_sum",
@@ -158,13 +182,15 @@ def test_per_class_work(monkeypatch):
                             counted("Fraction", module.Fraction))
 
     # the basis classes, once per presentation: B X and the B X of
-    # triple_cup, U Y for the verdict, and the solve's own U Y with the
-    # checked V c and B z
+    # triple_cup, one elimination per block, B Z for each of the b1
+    # integral kernel vectors, and the cross-check's checked B z; no
+    # solve through the transforms of a Smith form
     analysis = analysed(b)
     k = len(analysis.basis)
+    b1 = analysis.homology.free_rank
     assert k == 8
-    assert (counts["mul_vec"], counts["reduce"], counts["solve"],
-            counts["row_sum"]) == (6 * k, 2 * k, k, 0)
+    assert (counts["mul_vec"], counts["eliminate"], counts["solve"],
+            counts["row_sum"]) == (3 * k + b1, len(analysis.blocks), 0, 0)
 
     # each class: one sum of the rows of B at its support, and no product
     # of a whole matrix with a vector, elimination or rational arithmetic
@@ -172,5 +198,5 @@ def test_per_class_work(monkeypatch):
         counts[key] = 0
     result = analysis.classify_all(cap=1 << k)
     assert len(result.reports) == 2 ** k - 1
-    assert counts == {"mul_vec": 0, "reduce": 0, "solve": 0,
+    assert counts == {"mul_vec": 0, "eliminate": 0, "solve": 0,
                       "Fraction": 0, "row_sum": 2 ** k - 1}

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import io
 import json
 import os
@@ -380,7 +381,8 @@ def _count_calls(monkeypatch, name):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        # a copy, since eliminate works on its rows in place
+        calls.append(copy.deepcopy(args))
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -400,18 +402,26 @@ class TestOneAnalysisPerDocument:
     ])
     def test_one_kernel_and_one_smith_form(self, tmp_path, monkeypatch,
                                            flags, code):
-        """One GF(2) kernel and one Smith form per connected block: each on
-        that block's submatrix, exactly once, and never on the whole
-        matrix."""
+        """One GF(2) kernel and one `eliminate` per connected block: each on
+        that block's rows, exactly once, and never on the whole matrix.  A
+        block with a mod-2 kernel is bordered by the Y of its k basis
+        classes on the right and by I below; the others run bare."""
         kernels = _count_calls(monkeypatch, "gf2_kernel_basis")
-        smith_forms = _count_calls(monkeypatch, "smith_normal_form")
+        eliminations = _count_calls(monkeypatch, "eliminate")
         path = write_doc(tmp_path, {"matrix": [
-            [2, 0, 0, 2, 0, 0], [0, 4, 0, 0, 0, 0], [0, 0, -2, 0, 0, 0],
-            [2, 0, 0, 0, 0, 0], [0, 0, 0, 0, 6, 2], [0, 0, 0, 0, 2, 8]]})
+            [2, 0, 0, 2, 0, 0, 0], [0, 4, 0, 0, 0, 0, 0],
+            [0, 0, -2, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 6, 2, 0], [0, 0, 0, 0, 2, 8, 0],
+            [0, 0, 0, 0, 0, 0, 3]]})
         assert run(["analyze", path, *flags])[0] == code
-        # the blocks are {0, 3}, {1}, {2} and {4, 5}
-        blocks = [[[2, 2], [2, 0]], [[4]], [[-2]], [[6, 2], [2, 8]]]
-        assert [m.to_lists() for (m,) in smith_forms] == blocks
+        # the blocks are {0, 3}, {1}, {2}, {4, 5} and {6}, with k = 2, 1,
+        # 1, 2 and 0
+        blocks = [[[2, 2], [2, 0]], [[4]], [[-2]], [[6, 2], [2, 8]], [[3]]]
+        assert [[row[:n] for row in a[:m]] for a, m, n in eliminations] == (
+            blocks)
+        assert [(len(a), len(a[0]), m, n) for a, m, n in eliminations] == [
+            (4, 4, 2, 2), (2, 2, 1, 1), (2, 2, 1, 1), (4, 4, 2, 2),
+            (1, 1, 1, 1)]
         assert [m for (m,) in kernels] == [
             GF2Matrix.from_int_matrix(IntMatrix.from_rows(m))
             for m in blocks]
@@ -439,9 +449,10 @@ class TestIntegerDigitLimit:
         c = 8 * 10 ** 4299 + 1
         path = write_doc(tmp_path, {"matrix": [
             [c + (i == j) for j in range(21)] for i in range(21)]})
+        eliminations = _count_calls(monkeypatch, "eliminate")
         smith_forms = _count_calls(monkeypatch, "smith_normal_form")
         code, text = run(["analyze", path, "--format", fmt])
-        assert (code, text, smith_forms) == (2, "", [])
+        assert (code, text, eliminations, smith_forms) == (2, "", [], [])
         err = capsys.readouterr().err
         assert "n * max|b_ij| of the matrix has more than 4300 digits" in err
         assert "PYTHONINTMAXSTRDIGITS" in err

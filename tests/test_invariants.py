@@ -15,7 +15,6 @@ from z2index.exactlinalg import (
     IntMatrix,
     InvariantViolation,
     SmithDecomposition,
-    smith_normal_form,
     solve_integral,
 )
 from z2index.homology import CoverClass, torsion_linking
@@ -66,30 +65,53 @@ def test_wrong_decomposition_fails_torsion_linking(monkeypatch):
         torsion_linking(mat([[-4]]), (2,), (2,))
 
 
+def wrong_diagonal(monkeypatch, block, d):
+    """Make `borsuk.eliminate` end with d at (0, 0) when it eliminates the
+    rows block, bordered or not."""
+    original = borsuk.eliminate
+
+    def wrong(a, m, n):
+        is_block = [row[:n] for row in a[:m]] == block
+        a = original(a, m, n)
+        if is_block:
+            a[0][0] = d
+        return a
+
+    monkeypatch.setattr(borsuk, "eliminate", wrong)
+
+
 def test_wrong_decomposition_fails_classifier(monkeypatch):
-    monkeypatch.setattr(borsuk, "smith_normal_form",
-                        lambda b: wrong_decomposition(-1))
+    # [[-4]] with the class 1: Y = -2, and eliminate gives U = -1, S = 4
+    # and V = 1, so U Y = 2
     x = CoverClass.from_bits((1,))
-    with pytest.raises(InvariantViolation):
-        classify_class(mat([[-4]]), x)
-    # without the cross-check nothing looks at z
-    assert classify_class(mat([[-4]]), x, crosscheck=False).index == 2
+    for d, crosscheck, message in (
+            # a zero claims a kernel vector: its column of V fails B Z = 0,
+            # on the verdict path itself
+            (0, False, "B Z = 0"),
+            # S = 2 makes Y of order 1: z = V c = 1 fails B z = nY
+            (2, True, "b z = n y"),
+            # S = 8 makes Y of order 4: z = V c = 1 fails B z = nY
+            (8, True, "b z = n y")):
+        with monkeypatch.context() as patch:
+            wrong_diagonal(patch, [[-4]], d)
+            with pytest.raises(InvariantViolation, match=message):
+                classify_class(mat([[-4]]), x, crosscheck=crosscheck)
+            if d:
+                # without the cross-check nothing looks at U Y or at z
+                assert classify_class(mat([[-4]]), x,
+                                      crosscheck=False).index == 2
 
 
-def test_analysis_rejects_wrong_order():
-    # u = [[1]] with s = [[1]] claims the block [[-4]] has cokernel 0: Y = -2
-    # would vanish, and the exact check of z against B z = Y catches it
+def test_analysis_rejects_wrong_order(monkeypatch):
+    # S = 1 claims the block [[-4]] has cokernel 0: Y = -2 would vanish, and
+    # the exact check of z = V c = 2 against B z = Y catches it
     b = mat([[-4, 0], [0, 2]])
-    good = Analysis.of(b)
-    wrong = Block((0,), mat([[-4]]),
-                  SmithDecomposition(u=mat([[1]]), s=mat([[1]]),
-                                     v=mat([[1]])))
-    bad = Analysis(b, (wrong, good.blocks[1]))
-    with pytest.raises(InvariantViolation):
-        bad.classify(CoverClass.from_bits((1, 0)))
-    # the class in the other block meets only that block's Smith form
-    assert not bad.classify(CoverClass.from_bits((0, 1)),
-                            crosscheck=False).beta_vanishes
+    wrong_diagonal(monkeypatch, [[-4]], 1)
+    with pytest.raises(InvariantViolation, match="b z = n y"):
+        Analysis.of(b).classify(CoverClass.from_bits((1, 0)))
+    # the class in the other block meets only that block's elimination
+    assert not Analysis.of(b).classify(CoverClass.from_bits((0, 1)),
+                                       crosscheck=False).beta_vanishes
 
 
 def test_analysis_rejects_a_class_that_leaves_its_block():
@@ -99,8 +121,7 @@ def test_analysis_rejects_a_class_that_leaves_its_block():
     # leaves out both entries of b, and Analysis rejects it before any class
     # is classified
     b = mat([[0, 1], [1, 0]])
-    split = tuple(Block((i,), mat([[0]]), smith_normal_form(mat([[0]])))
-                  for i in range(2))
+    split = tuple(Block((i,), mat([[0]])) for i in range(2))
     with pytest.raises(InvariantViolation, match="every nonzero entry"):
         Analysis(b, split)
 
@@ -109,8 +130,7 @@ def test_analysis_rejects_a_split_that_loses_kernel_vectors():
     # (1, 1) is a class of b, but the blocks {0} and {1}, each [[1]], have
     # no mod-2 kernel: the split would report no connected double cover
     b = mat([[1, 1], [1, 1]])
-    split = tuple(Block((i,), mat([[1]]), smith_normal_form(mat([[1]])))
-                  for i in range(2))
+    split = tuple(Block((i,), mat([[1]])) for i in range(2))
     with pytest.raises(InvariantViolation, match="every nonzero entry"):
         Analysis(b, split)
     assert [x.to_bits() for x in Analysis.of(b).basis] == [(1, 1)]
@@ -119,7 +139,7 @@ def test_analysis_rejects_a_split_that_loses_kernel_vectors():
 def test_analysis_rejects_blocks_that_do_not_partition_b():
     b = IntMatrix.diagonal([2, 2])
     first, second = Analysis.of(b).blocks
-    outside = Block((2,), mat([[2]]), smith_normal_form(mat([[2]])))
+    outside = Block((2,), mat([[2]]))
     for blocks in ((first,), (first, first), (first, outside),
                    (first, second, outside)):
         with pytest.raises(InvariantViolation, match="partition"):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import z2index.surgery as surgery
 from z2index.exactlinalg import IntMatrix, cokernel_structure
 from z2index.surgery import (
     MAX_COMPONENTS,
@@ -306,6 +307,30 @@ class TestNestedSums:
             {"preset": "connected_sum", "parts": parts})
         assert linking_matrix(pres).to_lists() == rows
         assert pres.label == label
+
+
+    def test_depth_50_nesting_is_joined_once(self, monkeypatch):
+        # every level holds leaves of every kind, labelled or not, and an
+        # empty sum; one level is labelled, so its parts' labels drop out
+        rng = random.Random(20261024)
+        doc = {"matrix": [[2, 1], [1, -2]], "label": "core"}
+        for depth in range(50):
+            parts = [_random_document(rng, 0) for _ in range(rng.randint(0, 3))]
+            parts.insert(rng.randint(0, len(parts)), doc)
+            parts.append({"preset": "connected_sum", "parts": []})
+            doc = {"preset": "connected_sum", "parts": parts}
+            if depth == 30:
+                doc["label"] = "level 30"
+        joins = []
+        join = surgery._block_diagonal
+        monkeypatch.setattr(surgery, "_block_diagonal",
+                            lambda matrices: joins.append(1) or join(matrices))
+        pres = parse_presentation(json.dumps(doc))
+        rows, label = _pairwise_fold(doc)
+        assert linking_matrix(pres).to_lists() == rows
+        assert pres.label == label
+        assert "level 30" in label and "core" not in label
+        assert len(rows) > 50 and joins == [1]
 
 
 class TestComponentLimit:
