@@ -8,8 +8,11 @@ index is decided by two exact criteria on an integral lift X of x:
 * index 2  otherwise.
 
 The self-linking value of Y under the torsion linking form is computed as
-an independent cross-check: it must equal (1/4) X^T B X mod 1 and be 1/2
-exactly in the index-3 case.
+an independent cross-check.  With n the order of Y in coker(B), which is 1
+or 2, and B z = nY, it is lk(Y, Y) = (z . Y)/n mod 1.  It must equal the
+quarter form (1/4) X^T B X = (X . Y)/2 mod 1, whose numerator X . Y mod 2
+is the triple cup, so the whole check is one integer identity:
+(n = 2 and z . Y odd) iff the triple cup is 1.
 
 On the mod-2 kernel K = ker(B mod 2) all three are GF(2)-linear in x.  The
 triple cup is, because X^T B X' is even when B X' is even.  The
@@ -18,17 +21,18 @@ self-linking is, because 2 lk(a, b) = lk(2a, b) = 0 for a and b of order
 (Bockstein sequence; Hatcher, Algebraic Topology, 3.E).  So an `Analysis`
 classifies the k basis classes of K once: B X, the public `triple_cup`
 and, with the cross-check, the order n of Y, an exact solution z of
-B z = nY and the quarter-form comparison; it keeps these as bitmasks over
-the basis, and K1 as a GF(2) echelon of masks.
+B z = nY and that identity; it keeps these as bitmasks over the basis,
+and K1 as a GF(2) echelon of masks.
 
 B is block-diagonal up to a permutation, with one block per connected
 component of the graph in which i and j are joined when B_ij != 0.  H_1,
 K, K1 and the linking form split as direct sums over the blocks.  So each
 block gets one mod-2 elimination, whose kernel vectors, embedded in B, are
-the basis of K, and one `eliminate`.  A block with no mod-2 kernel vector
-has odd determinant and runs bare: its diagonal is all H_1 needs.  Any
-other block is bordered by the Y of its basis classes and by I below: the
-border gives U Y to the cross-check, and the columns of V at the zero
+the basis of K, and one `eliminate`, through `bordered`.  A block with no
+mod-2 kernel vector has odd determinant and runs bare: its diagonal is
+all H_1 needs.  Any other block is bordered by the Y of its basis classes
+and by I below: `checked_solution` reads U Y, the diagonal and V from its
+rows for the cross-check, and the columns of V at the zero
 diagonal entries span ker_Z, saturated since V is unimodular.  Each is
 checked to solve B Z = 0 exactly, and dim K1 to be b1.  An `Analysis`
 checks that its blocks partition the indices of B and hold every nonzero
@@ -61,12 +65,11 @@ from .exactlinalg import (
     GF2Vector,
     IntMatrix,
     InvariantViolation,
+    bordered,
     checked_solution,
     connected_blocks,
     diagonal_cokernel,
-    eliminate,
     gf2_kernel_basis,
-    identity_rows,
     is_in_integral_image,
     principal_submatrix,
 )
@@ -238,18 +241,14 @@ class Analysis:
 
     @cached_property
     def _eliminated(self) -> tuple[list[list[int]], ...]:
-        """The rows of each block after its one `eliminate`: [U b V | U Y]
-        over V, with a column Y for each basis class of the block in basis
-        order, or U b V alone for a block with no basis class."""
+        """The rows of each block `bordered` by the Y of its basis classes,
+        in basis order: [U b V | U Y] over V, or U b V alone for a block
+        with no basis class."""
         borders = [[] for _ in self.blocks]
         for t, _, y, _ in self._basis_classes:
             borders[t].append(y)
-        return tuple(
-            eliminate([list(row) + [y[i] for y in ys]
-                       for i, row in enumerate(block.b.entries)]
-                      + (identity_rows(block.b.rows) if ys else []),
-                      block.b.rows, block.b.rows)
-            for block, ys in zip(self.blocks, borders))
+        return tuple(bordered(block.b, ys)
+                     for block, ys in zip(self.blocks, borders))
 
     @cached_property
     def homology(self) -> AbelianGroup:
@@ -301,44 +300,33 @@ class Analysis:
     def linking_mask(self) -> int:
         """Bit i: the self-linking of basis class i is 1/2.
 
-        Each value is lk(Y, Y) = (z . Y)/n, with the order n of Y from the
-        column U Y of its block and the diagonal, and z = V c an exact
-        solution of B z = nY in the block, checked against the quarter form
-        (1/4) X^T B X and the triple cup of the class."""
+        Each value is lk(Y, Y) = (z . Y)/n, with the order n of Y and an
+        exact solution z of B z = nY in the block, both from the border
+        column U Y of the block's elimination.  2Y = B X lies in im(B), so
+        n is 1 or 2, and lk(Y, Y) is 1/2 exactly when n = 2 and z . Y is
+        odd.  The quarter form (1/4) X^T B X = (X . Y)/2 mod 1 is 1/2
+        exactly when the triple cup X . Y mod 2 is 1, so the value must
+        equal the quarter form and the cup in one integer identity."""
         mask = 0
         # the border column of the next class of each block, which is U Y
         column = [block.b.rows for block in self.blocks]
-        for i, (t, lift, y, cup) in enumerate(self._basis_classes):
-            block, rows = self.blocks[t], self._eliminated[t]
-            m, col = block.b.rows, column[t]
-            column[t] += 1
+        for i, (t, _, y, cup) in enumerate(self._basis_classes):
             # infinite order, None, fails the order check below
-            n, z = checked_solution(
-                block.b, y, [row[col] for row in rows[:m]],
-                [rows[j][j] for j in range(m)], rows[m:]) or (None, ())
-            # 2Y = B X lies in im(B), so Y has order 1 or 2 in coker(B)
+            n, z = checked_solution(self.blocks[t].b, y, self._eliminated[t],
+                                    column[t]) or (None, ())
+            column[t] += 1
             if n not in (1, 2):
                 raise InvariantViolation(
                     f"Bockstein representative has order {n} in "
                     "coker(B), not 1 or 2"
                 )
-            linking = QmodZ.from_fraction(Fraction(_dot(z, y), n))
-            expected = QmodZ.from_fraction(Fraction(2 * _dot(lift, y), 4))
-            if linking != expected:
+            half = _dot(z, y) & 1 if n == 2 else 0
+            if half != cup:
                 raise InvariantViolation(
-                    f"self-linking {linking} != quarter-form value "
-                    f"{expected}"
+                    f"self-linking {Fraction(half, 2)} != quarter-form "
+                    f"value {Fraction(cup, 2)}"
                 )
-            if linking not in (_ZERO, _HALF):
-                raise InvariantViolation(
-                    f"self-linking of a 2-torsion class must be 0 or 1/2, "
-                    f"got {linking}"
-                )
-            if (linking == _HALF) != (cup == 1):
-                raise InvariantViolation(
-                    "linking-form verdict disagrees with the triple cup"
-                )
-            mask |= (linking == _HALF) << i
+            mask |= half << i
         return mask
 
     def _report(self, mask: int, x: CoverClass,

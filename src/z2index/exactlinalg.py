@@ -151,12 +151,6 @@ class SmithDecomposition:
         d = self.s.diagonal_entries()
         return d + (0,) * (self.s.rows - len(d))
 
-    def solve(self, b: IntMatrix, y):
-        """`checked_solution` through u, s and v, which decompose b."""
-        y = _int_vector(y, b.rows)
-        return checked_solution(b, y, self.u.mul_vec(y), self.diagonal,
-                                self.v.entries)
-
     def cokernel(self) -> "AbelianGroup":
         """Z^m / im(b) for the square matrix b that this decomposes."""
         return diagonal_cokernel(self.diagonal)
@@ -267,25 +261,37 @@ def identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
+def bordered(b: IntMatrix, ys) -> list[list[int]]:
+    """`eliminate` of b bordered by the columns ys on the right and, when
+    there are any, by I_n below: the rows [S | U Y] over [V], with
+    U b V = S, or S alone when ys is empty."""
+    return eliminate([list(row) + [y[i] for y in ys]
+                      for i, row in enumerate(b.entries)]
+                     + (identity_rows(b.cols) if ys else []), b.rows, b.cols)
+
+
 def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms, u @ b @ v == s: `eliminate` of b
-    bordered by I_m on the right and I_n below.  Nothing is memoized."""
+    """Smith normal form with transforms, u @ b @ v == s: b `bordered` by
+    the columns of I_m.  Nothing is memoized."""
     m, n = b.rows, b.cols
-    a = eliminate([list(row) + unit for row, unit in zip(b.entries,
-                                                         identity_rows(m))]
-                  + identity_rows(n), m, n)
+    a = bordered(b, identity_rows(m))
     return SmithDecomposition(
         u=IntMatrix(m, m, tuple(tuple(row[n:]) for row in a[:m])),
         s=IntMatrix(m, n, tuple(tuple(row[:n]) for row in a[:m])),
-        v=IntMatrix(n, n, tuple(map(tuple, a[m:]))),
+        # a 0 x n matrix has no border column, so nothing was put below it
+        v=IntMatrix(n, n, tuple(map(tuple, a[m:] or identity_rows(n)))),
     )
 
 
-def checked_solution(b: IntMatrix, y, w, diagonal, v_rows):
+def checked_solution(b: IntMatrix, y, rows, col: int):
     """(n, z) with n the least n >= 1 with n*y in im(b) and z = V c an
-    integer solution of b z == n*y, checked exactly, from w = U y, the
-    diagonal of S = U b V and the rows of V; None when y has infinite order
-    in coker(b).  c_i = n*w_i/d_i, and 0 where d_i = 0."""
+    integer solution of b z == n*y, checked exactly, from the rows of
+    `bordered(b, ys)` with y the border column col; None when y has
+    infinite order in coker(b).  With w = U y and d the diagonal of S,
+    c_i = n*w_i/d_i, and 0 where d_i = 0."""
+    m, cols = b.rows, b.cols
+    w = [row[col] for row in rows[:m]]
+    diagonal = [row[i] if i < cols else 0 for i, row in enumerate(rows[:m])]
     n = 1
     for wi, di in zip(w, diagonal):
         if di == 0:
@@ -294,8 +300,8 @@ def checked_solution(b: IntMatrix, y, w, diagonal, v_rows):
         elif wi % di:
             n = lcm(n, di // gcd(di, wi))
     c = [n * wi // di if di else 0 for wi, di in zip(w, diagonal)]
-    c += [0] * (len(v_rows) - len(c))
-    z = tuple(sum(map(operator.mul, row, c)) for row in v_rows)
+    c += [0] * (cols - len(c))
+    z = tuple(sum(map(operator.mul, row, c)) for row in rows[m:])
     if b.mul_vec(z) != tuple(n * e for e in y):
         raise InvariantViolation(
             "the Smith-form solution z does not solve b z = n y"
@@ -365,10 +371,12 @@ def principal_submatrix(b: IntMatrix, index) -> IntMatrix:
 
 
 def cokernel_structure(b: IntMatrix) -> AbelianGroup:
-    """Z^m / im(b) for a square presentation matrix b."""
+    """Z^m / im(b) for a square presentation matrix b, from the diagonal of
+    one bare `eliminate`."""
     if not b.is_square:
         raise DimensionError("cokernel_structure needs a square matrix")
-    return smith_normal_form(b).cokernel()
+    rows = bordered(b, ())
+    return diagonal_cokernel([rows[i][i] for i in range(b.rows)])
 
 
 def _int_vector(y, rows: int) -> tuple[int, ...]:
@@ -379,9 +387,15 @@ def _int_vector(y, rows: int) -> tuple[int, ...]:
     return y
 
 
+def _solve(b: IntMatrix, y):
+    """`checked_solution` of b z = n y, with y as the one border column."""
+    y = _int_vector(y, b.rows)
+    return checked_solution(b, y, bordered(b, [y]), b.cols)
+
+
 def order_in_cokernel(b: IntMatrix, y):
     """Least n >= 1 with n*y in im(b), or None when y has infinite order."""
-    solved = smith_normal_form(b).solve(b, y)
+    solved = _solve(b, y)
     return solved[0] if solved else None
 
 
@@ -392,7 +406,7 @@ def is_in_integral_image(b: IntMatrix, y) -> bool:
 
 def solve_integral(b: IntMatrix, y):
     """An integer z with b @ z == y, or None when no such z exists."""
-    solved = smith_normal_form(b).solve(b, y)
+    solved = _solve(b, y)
     return solved[1] if solved and solved[0] == 1 else None
 
 
@@ -459,14 +473,11 @@ class GF2Matrix:
 
     @classmethod
     def from_int_matrix(cls, b: IntMatrix) -> "GF2Matrix":
-        words = []
-        for row in b.entries:
-            w = 0
-            for j, e in enumerate(row):
-                if e & 1:
-                    w |= 1 << j
-            words.append(w)
-        return cls(b.rows, b.cols, tuple(words))
+        # only the nonzero entries of a row are looked at one by one
+        columns = range(b.cols)
+        return cls(b.rows, b.cols, tuple(
+            sum(1 << j for j in compress(columns, row) if row[j] & 1)
+            for row in b.entries))
 
     def mul_vec(self, x: GF2Vector) -> GF2Vector:
         if x.length != self.cols:

@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exactlinalg
 from .exactlinalg import (
     AbelianGroup,
     DimensionError,
@@ -20,6 +19,8 @@ from .exactlinalg import (
     GF2Vector,
     IntMatrix,
     _int_vector,
+    bordered,
+    checked_solution,
     cokernel_structure,
     gf2_kernel_basis,
 )
@@ -42,12 +43,6 @@ class QmodZ:
     @classmethod
     def from_fraction(cls, f) -> "QmodZ":
         return cls(Fraction(f) % 1)
-
-    def __add__(self, other: "QmodZ") -> "QmodZ":
-        return QmodZ((self.value + other.value) % 1)
-
-    def __neg__(self) -> "QmodZ":
-        return QmodZ(-self.value % 1)
 
     @property
     def is_zero(self) -> bool:
@@ -144,15 +139,15 @@ def torsion_linking(b: IntMatrix, a, c) -> QmodZ:
     Independent of the chosen solution z and of the representatives of a
     and c modulo im(b).
     """
-    # one Smith form of b serves both classes
-    dec = exactlinalg.smith_normal_form(b)
-    solved = dec.solve(b, a)
+    a, c = _int_vector(a, b.rows), _int_vector(c, b.rows)
+    # one elimination, bordered by both classes, serves both
+    rows = bordered(b, [a, c])
+    solved = checked_solution(b, a, rows, b.cols)
     if solved is None:
         raise NonTorsionError("first class has infinite order in coker(b)")
-    n, z = solved
-    c = _int_vector(c, b.rows)
-    if dec.solve(b, c) is None:
+    if checked_solution(b, c, rows, b.cols + 1) is None:
         raise NonTorsionError("second class has infinite order in coker(b)")
+    n, z = solved
     return QmodZ.from_fraction(
         Fraction(sum(zi * ci for zi, ci in zip(z, c)), n)
     )

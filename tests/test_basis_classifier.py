@@ -12,14 +12,10 @@ import random
 import pytest
 
 import z2index.borsuk as borsuk
+import z2index.exactlinalg as exactlinalg
 import z2index.homology as homology
 from z2index.borsuk import Analysis, classify_all, classify_class
-from z2index.exactlinalg import (
-    GF2Vector,
-    IntMatrix,
-    InvariantViolation,
-    SmithDecomposition,
-)
+from z2index.exactlinalg import GF2Vector, IntMatrix, InvariantViolation
 from z2index.homology import CoverClass, cover_classes
 from z2index.selftest import random_symmetric_matrix
 
@@ -160,7 +156,7 @@ def test_odd_class_in_span_is_caught():
 def test_per_class_work(monkeypatch):
     rng = random.Random(20261023)
     b = even_matrix(rng, 8)
-    counts = {"mul_vec": 0, "eliminate": 0, "solve": 0, "Fraction": 0,
+    counts = {"mul_vec": 0, "eliminate": 0, "smith": 0, "Fraction": 0,
               "row_sum": 0}
 
     def counted(name, original):
@@ -171,10 +167,10 @@ def test_per_class_work(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "mul_vec",
                         counted("mul_vec", IntMatrix.mul_vec))
-    monkeypatch.setattr(borsuk, "eliminate",
-                        counted("eliminate", borsuk.eliminate))
-    monkeypatch.setattr(SmithDecomposition, "solve",
-                        counted("solve", SmithDecomposition.solve))
+    monkeypatch.setattr(exactlinalg, "eliminate",
+                        counted("eliminate", exactlinalg.eliminate))
+    monkeypatch.setattr(exactlinalg, "smith_normal_form",
+                        counted("smith", exactlinalg.smith_normal_form))
     monkeypatch.setattr(borsuk, "_row_sum",
                         counted("row_sum", borsuk._row_sum))
     for module in (borsuk, homology):
@@ -184,12 +180,12 @@ def test_per_class_work(monkeypatch):
     # the basis classes, once per presentation: B X and the B X of
     # triple_cup, one elimination per block, B Z for each of the b1
     # integral kernel vectors, and the cross-check's checked B z; no
-    # solve through the transforms of a Smith form
+    # transform-carrying Smith form
     analysis = analysed(b)
     k = len(analysis.basis)
     b1 = analysis.homology.free_rank
     assert k == 8
-    assert (counts["mul_vec"], counts["eliminate"], counts["solve"],
+    assert (counts["mul_vec"], counts["eliminate"], counts["smith"],
             counts["row_sum"]) == (3 * k + b1, len(analysis.blocks), 0, 0)
 
     # each class: one sum of the rows of B at its support, and no product
@@ -198,5 +194,5 @@ def test_per_class_work(monkeypatch):
         counts[key] = 0
     result = analysis.classify_all(cap=1 << k)
     assert len(result.reports) == 2 ** k - 1
-    assert counts == {"mul_vec": 0, "eliminate": 0, "solve": 0,
+    assert counts == {"mul_vec": 0, "eliminate": 0, "smith": 0,
                       "Fraction": 0, "row_sum": 2 ** k - 1}

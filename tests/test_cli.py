@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,15 @@ import z2index.borsuk as borsuk
 import z2index.cli as cli
 import z2index.exactlinalg as exactlinalg
 from z2index.cli import main
-from z2index.exactlinalg import GF2Matrix, GF2Vector, IntMatrix
+from z2index.exactlinalg import (
+    GF2Matrix,
+    GF2Vector,
+    IntMatrix,
+    cokernel_structure,
+    order_in_cokernel,
+    solve_integral,
+)
+from z2index.homology import first_homology, torsion_linking
 
 
 def run(argv):
@@ -425,6 +434,24 @@ class TestOneAnalysisPerDocument:
         assert [m for (m,) in kernels] == [
             GF2Matrix.from_int_matrix(IntMatrix.from_rows(m))
             for m in blocks]
+
+
+    def test_no_transform_carrying_smith_form(self, tmp_path, monkeypatch):
+        """The CLI and the public solvers each run one `eliminate`, bordered
+        by what they solve for; none builds the U and V of
+        `smith_normal_form`, which stays as the selftest's oracle."""
+        smith_forms = _count_calls(monkeypatch, "smith_normal_form")
+        b = IntMatrix.from_rows([[2, 1, 0, 0], [1, -2, 0, 0],
+                                 [0, 0, -4, 2], [0, 0, 2, 0]])
+        path = write_doc(tmp_path, {"matrix": b.to_lists()})
+        assert run(["analyze", path, "--format", "json"])[0] == 0
+        assert first_homology(b) == cokernel_structure(b)
+        assert first_homology(b).invariant_factors == (2, 10)
+        assert order_in_cokernel(b, (1, 0, 1, 0)) == 10
+        assert solve_integral(b, (0, 0, 2, 0)) == (0, 0, 0, 1)
+        assert torsion_linking(b, (1, 0, 0, 0), (1, 0, 0, 0)).value == (
+            Fraction(2, 5))
+        assert smith_forms == []
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -178,6 +178,20 @@ class TestGF2:
             span |= {s ^ v.bits for s in span}
         assert span == kernel
 
+    def test_row_words_match_the_per_entry_construction(self):
+        # sparse, dense, negative and all-even rows, and zero columns
+        rng = random.Random(20261103)
+        for _ in range(200):
+            rows, cols = rng.randint(0, 12), rng.randint(0, 40)
+            weights = rng.choice(((1, 0, 0, 0, 0), (1, 1), (2, 0, 0)))
+            b = IntMatrix(rows, cols, tuple(
+                tuple(rng.choice(weights) * rng.randint(-9, 9)
+                      for _ in range(cols)) for _ in range(rows)))
+            words = tuple(
+                sum(1 << j for j, e in enumerate(row) if e % 2)
+                for row in b.entries)
+            assert GF2Matrix.from_int_matrix(b) == GF2Matrix(rows, cols, words)
+
     def test_vector_roundtrip(self):
         v = GF2Vector.from_bits((1, 0, 1, 1))
         assert v.to_bits() == (1, 0, 1, 1)

@@ -11,12 +11,7 @@ import z2index.borsuk as borsuk
 import z2index.exactlinalg as exactlinalg
 import z2index.surgery as surgery
 from z2index.borsuk import Analysis, Block, classify_class
-from z2index.exactlinalg import (
-    IntMatrix,
-    InvariantViolation,
-    SmithDecomposition,
-    solve_integral,
-)
+from z2index.exactlinalg import IntMatrix, InvariantViolation, solve_integral
 from z2index.homology import CoverClass, torsion_linking
 from z2index.surgery import (
     PresentationError,
@@ -41,9 +36,17 @@ def test_no_assert_statement_in_z2index():
     assert found == []
 
 
-def wrong_decomposition(v):
-    """A decomposition of [[-4]] with the right u and s but a wrong v."""
-    return SmithDecomposition(u=mat([[-1]]), s=mat([[4]]), v=mat([[v]]))
+def wrong_decomposition(monkeypatch, v):
+    """Make `exactlinalg.eliminate` of [[-4]] end with the right U and S
+    but with V = [[v]]."""
+    original = exactlinalg.eliminate
+
+    def wrong(a, m, n):
+        a = original(a, m, n)
+        a[m:] = [[v]]
+        return a
+
+    monkeypatch.setattr(exactlinalg, "eliminate", wrong)
 
 
 def test_one_class_everywhere():
@@ -52,23 +55,21 @@ def test_one_class_everywhere():
 
 
 def test_wrong_decomposition_fails_solve_integral(monkeypatch):
-    monkeypatch.setattr(exactlinalg, "smith_normal_form",
-                        lambda b: wrong_decomposition(3))
+    wrong_decomposition(monkeypatch, 3)
     with pytest.raises(InvariantViolation):
         solve_integral(mat([[-4]]), (8,))
 
 
 def test_wrong_decomposition_fails_torsion_linking(monkeypatch):
-    monkeypatch.setattr(exactlinalg, "smith_normal_form",
-                        lambda b: wrong_decomposition(3))
+    wrong_decomposition(monkeypatch, 3)
     with pytest.raises(InvariantViolation):
         torsion_linking(mat([[-4]]), (2,), (2,))
 
 
 def wrong_diagonal(monkeypatch, block, d):
-    """Make `borsuk.eliminate` end with d at (0, 0) when it eliminates the
-    rows block, bordered or not."""
-    original = borsuk.eliminate
+    """Make `exactlinalg.eliminate` end with d at (0, 0) when it eliminates
+    the rows block, bordered or not."""
+    original = exactlinalg.eliminate
 
     def wrong(a, m, n):
         is_block = [row[:n] for row in a[:m]] == block
@@ -77,7 +78,7 @@ def wrong_diagonal(monkeypatch, block, d):
             a[0][0] = d
         return a
 
-    monkeypatch.setattr(borsuk, "eliminate", wrong)
+    monkeypatch.setattr(exactlinalg, "eliminate", wrong)
 
 
 def test_wrong_decomposition_fails_classifier(monkeypatch):
