@@ -278,7 +278,7 @@ def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         u=IntMatrix(m, m, tuple(tuple(row[n:]) for row in a[:m])),
         s=IntMatrix(m, n, tuple(tuple(row[:n]) for row in a[:m])),
-        # a 0 x n matrix has no border column, so nothing was put below it
+        # with m = 0 there are no border columns, so `bordered` adds no V rows
         v=IntMatrix(n, n, tuple(map(tuple, a[m:] or identity_rows(n)))),
     )
 

@@ -289,14 +289,13 @@ def _index_multiset(b: IntMatrix) -> tuple[int, ...]:
 
 
 @_suite("presentation_invariance")
-def suite_presentation_invariance(trials: int = 300, size: int = 6,
-                                  seed: int = 0):
+def suite_presentation_invariance(trials: int = 300, seed: int = 0):
     """The index multiset over all classes is invariant under unimodular
     congruence (handle slides) and under (+-1)-stabilization (blow-ups),
-    on random symmetric presentations with 1 to size components."""
+    on random symmetric presentations with 1 to 6 components."""
     rng = random.Random(seed)
     for _ in range(trials):
-        n = rng.randint(1, size)
+        n = rng.randint(1, 6)
         b = random_symmetric_matrix(rng, n, 6)
         base = _index_multiset(b)
         p = random_unimodular_matrix(rng, n)
