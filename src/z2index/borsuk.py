@@ -123,7 +123,7 @@ def beta_vanishes(b: IntMatrix, lift) -> bool:
 
 def triple_cup(b: IntMatrix, lift) -> int:
     """(1/2) X^T B X mod 2; nonzero exactly in the index-3 case."""
-    q = sum(xi * e for xi, e in zip(lift, b.mul_vec(lift)))
+    q = _dot(lift, b.mul_vec(lift))
     if q & 1:
         raise ValueError("X^T B X is odd: the lift does not reduce to a "
                          "mod-2 kernel class")
@@ -329,17 +329,16 @@ class Analysis:
             mask |= half << i
         return mask
 
-    def _report(self, mask: int, x: CoverClass,
+    def _report(self, mask: int, lift: tuple[int, ...], x: CoverClass,
                 crosscheck: bool) -> IndexReport:
-        """Classify the class x, which is the sum of the basis classes in
-        mask, from the basis masks and one B X."""
-        lift = x.bits()
+        """Classify the class x, with bits lift, which is the sum of the
+        basis classes in mask, from the basis masks and one B X."""
         # b is symmetric, which `of` checked, so its rows are its columns
         w = _row_sum(self.b, lift)
-        if any(e & 1 for e in w):
+        if any(map((1).__and__, w)):
             raise InvariantViolation(
                 f"B X is odd for the mod-2 kernel class {list(lift)}")
-        y = tuple(e // 2 for e in w)
+        y = tuple(map((1).__rrshift__, w))  # e >> 1, which is e // 2
         # X . Y = (1/2) X^T B X, computed from this class alone
         direct = sum(compress(y, lift)) & 1
         cup = _parity(mask & self.cup_mask)
@@ -388,7 +387,7 @@ class Analysis:
         if span != v.bits:
             raise ValueError("class is not in the mod-2 kernel of the "
                              "linking matrix")
-        return self._report(mask, x, crosscheck)
+        return self._report(mask, x.bits(), x, crosscheck)
 
     def classify_all(self, cap: int = 1024, *,
                      crosscheck: bool = True) -> ClassificationResult:
@@ -402,8 +401,8 @@ class Analysis:
                 analysis=self,
             )
         span, truncated = kernel_span(self.basis, cap)
-        reports = tuple(self._report(mask, CoverClass(v), crosscheck)
-                        for mask, v in span)
+        reports = tuple(self._report(mask, lift, CoverClass(v), crosscheck)
+                        for lift, mask, v in span)
         note = None
         if not reports:
             note = "no connected double cover"

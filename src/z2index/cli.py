@@ -30,6 +30,8 @@ from json.encoder import encode_basestring as _quote
 
 from . import __version__
 from .borsuk import (
+    _HALF,
+    _ZERO,
     Analysis,
     ClassificationResult,
     IndexReport,
@@ -58,22 +60,37 @@ class CapExceededError(RuntimeError):
     """Class enumeration hit the cap and truncation was not allowed."""
 
 
-def _class_doc(report: IndexReport) -> dict:
-    # the report's own tuples, not list copies: JSON writes a tuple as a
-    # list, and each copy is one more object the cyclic garbage collector
-    # tracks while the report lives
-    return {
+# the Borsuk-Ulam dimensions of each index, and the text of the two
+# self-linking values `Analysis` gives; `str` writes any other value
+_BU_HOLDS_FOR = {1: (1,), 2: (1, 2), 3: (1, 2, 3)}
+_ZERO_TEXT, _HALF_TEXT = str(_ZERO), str(_HALF)
+
+
+class ClassEntry(dict):
+    """The entry of one class in a report, with the eight keys `_class_doc`
+    gives it, in that order; `render_json` writes it by one template."""
+
+    __slots__ = ()
+
+
+def _class_doc(report: IndexReport) -> ClassEntry:
+    # the report's own tuples and shared constants, not copies: JSON writes
+    # a tuple as a list, and each copy is one more object the cyclic garbage
+    # collector tracks while the report lives
+    link = report.self_linking
+    return ClassEntry({
         "class": report.lift,
         "lift": report.lift,
         "bockstein_rep": report.bockstein_rep,
         "beta_vanishes": report.beta_vanishes,
         "triple_cup": report.triple_cup,
         "self_linking": (
-            None if report.self_linking is None else str(report.self_linking)
+            None if link is None else _HALF_TEXT if link is _HALF
+            else _ZERO_TEXT if link is _ZERO else str(link)
         ),
         "index": report.index,
-        "bu_holds_for": tuple(range(1, report.index + 1)),
-    }
+        "bu_holds_for": _BU_HOLDS_FOR[report.index],
+    })
 
 
 def build_report(pres: SurgeryPresentation, result: ClassificationResult,
@@ -142,10 +159,13 @@ def render_json(value, pad: str = "\n") -> str:
     makes one generator step and one small string per item.  Here every
     container is one `join`, and a list of exact `int`s (no `bool`) joins
     their `repr`, which for an exact `int` is `int.__repr__`, the form the
-    stdlib writes.  Keys must be strings: any other key raises TypeError,
-    where `json.dumps` would write an `int`, `float`, `bool` or `None` key
-    as a string.  `pad` is the newline and indentation of the line that
-    holds `value`.
+    stdlib writes.  A `ClassEntry` with its eight keys, one per class of a
+    report, is written by one template that looks at no value's type: its
+    lists are tuples of exact `int`s, its `self_linking` is None or a
+    string, and its shared `class` and `lift` tuple is written once.  Keys
+    must be strings: any other key raises TypeError, where `json.dumps`
+    would write an `int`, `float`, `bool` or `None` key as a string.  `pad`
+    is the newline and indentation of the line that holds `value`.
     """
     t = type(value)
     if t is str:
@@ -168,6 +188,8 @@ def render_json(value, pad: str = "\n") -> str:
             items = [render_json(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
     if isinstance(value, dict):
+        if t is ClassEntry and len(value) == 8:  # the keys of `_class_doc`
+            return _class_json(value, pad)
         if not value:
             return "{}"
         items = [f"{_quote(k)}: {render_json(v, inner)}"
@@ -175,6 +197,35 @@ def render_json(value, pad: str = "\n") -> str:
         return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
     # floats and subclasses of str and int; anything else raises TypeError
     return json.dumps(value, ensure_ascii=False)
+
+
+def _int_list(items, pad: str) -> str:
+    """The exact `int`s items as a JSON list on the line with `pad`."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[{inner}{(',' + inner).join(map(repr, items))}{pad}]"
+
+
+def _class_json(entry: ClassEntry, pad: str) -> str:
+    """The text of `render_json(entry, pad)`, by the template of a class."""
+    inner = pad + "  "
+    lift, link = entry["lift"], entry["self_linking"]
+    lift_text = _int_list(lift, inner)
+    class_text = (lift_text if entry["class"] is lift
+                  else _int_list(entry["class"], inner))
+    return (
+        f'{{{inner}"class": {class_text},'
+        f'{inner}"lift": {lift_text},'
+        f'{inner}"bockstein_rep": {_int_list(entry["bockstein_rep"], inner)},'
+        f'{inner}"beta_vanishes": '
+        f'{"true" if entry["beta_vanishes"] else "false"},'
+        f'{inner}"triple_cup": {entry["triple_cup"]!r},'
+        f'{inner}"self_linking": {"null" if link is None else _quote(link)},'
+        f'{inner}"index": {entry["index"]!r},'
+        f'{inner}"bu_holds_for": {_int_list(entry["bu_holds_for"], inner)}'
+        f'{pad}}}'
+    )
 
 
 def _emit(doc: dict, fmt: str, out) -> None:

@@ -71,9 +71,23 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
+        # kept on the matrix, so that every check of one matrix after the
+        # first, such as a presentation's and then its analysis's, is free
         return self.is_square and tuple(zip(*self.entries)) == self.entries
+
+    @cached_property
+    def _sparse_rows(self):
+        """(columns, values) of the nonzero entries of each row, or None when
+        half the entries or more are nonzero, where a sum over every entry
+        of a row is the faster one."""
+        zeros = sum(row.count(0) for row in self.entries)
+        if 2 * zeros <= self.rows * self.cols:
+            return None
+        columns = range(self.cols)
+        return tuple((tuple(compress(columns, row)), tuple(compress(row, row)))
+                     for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(
@@ -99,8 +113,14 @@ class IntMatrix:
             raise DimensionError(
                 f"vector length {len(vec)} != column count {self.cols}"
             )
-        mul = operator.mul
-        return tuple(sum(map(mul, row, vec)) for row in self.entries)
+        mul, rows = operator.mul, self._sparse_rows
+        if rows is None:
+            return tuple(sum(map(mul, row, vec)) for row in self.entries)
+        # a sum over the nonzero entries of each row, so a sparse matrix,
+        # such as the chain of a lens space, costs its nonzeros, not n^2
+        at = vec.__getitem__
+        return tuple(sum(map(mul, values, map(at, columns)))
+                     for columns, values in rows)
 
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(
@@ -300,8 +320,11 @@ def checked_solution(b: IntMatrix, y, rows, col: int):
         elif wi % di:
             n = lcm(n, di // gcd(di, wi))
     c = [n * wi // di if di else 0 for wi, di in zip(w, diagonal)]
-    c += [0] * (cols - len(c))
-    z = tuple(sum(map(operator.mul, row, c)) for row in rows[m:])
+    # z = V c, a sum over the columns of V at the nonzero c_i
+    support = list(map(bool, c))
+    nonzero = list(compress(c, support))
+    z = tuple(sum(map(operator.mul, compress(row, support), nonzero))
+              for row in rows[m:])
     if b.mul_vec(z) != tuple(n * e for e in y):
         raise InvariantViolation(
             "the Smith-form solution z does not solve b z = n y"
@@ -423,6 +446,9 @@ def congruence_transform(b: IntMatrix, p: IntMatrix) -> IntMatrix:
 # GF(2)
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 @dataclass(frozen=True)
 class GF2Vector:
     """Vector over the two-element field, bit-packed (bit i = coordinate i)."""
@@ -449,7 +475,10 @@ class GF2Vector:
         return (self.bits >> i) & 1
 
     def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
+        # the binary digits below a 1 set at place `length`, bit 0 first,
+        # each turned from the character "0" or "1" into the byte 0 or 1
+        return tuple(bin(self.bits | 1 << self.length)[:2:-1].encode()
+                     .translate(_DIGIT_BYTES))
 
     @property
     def is_zero(self) -> bool:

@@ -94,14 +94,15 @@ def cover_classes(b: IntMatrix, cap: int = 1024) -> tuple[list[CoverClass], bool
     _require_symmetric(b)
     span, truncated = kernel_span(
         gf2_kernel_basis(GF2Matrix.from_int_matrix(b)), cap)
-    return [CoverClass(v) for _, v in span], truncated
+    return [CoverClass(v) for _, _, v in span], truncated
 
 
-def kernel_span(basis: Sequence[GF2Vector],
-                cap: int = 1024) -> tuple[list[tuple[int, GF2Vector]], bool]:
-    """The nonzero vectors spanned by a mod-2 kernel basis, lexicographic on
-    bit patterns, each as (mask, vector): bit i of mask is set when basis[i]
-    is a summand of vector.
+def kernel_span(basis: Sequence[GF2Vector], cap: int = 1024) -> tuple[
+        list[tuple[tuple[int, ...], int, GF2Vector]], bool]:
+    """The nonzero vectors spanned by a mod-2 kernel basis, each as
+    (lift, mask, vector), in lexicographic order of lift: lift is the
+    vector's tuple of bits, and bit i of mask is set when basis[i] is a
+    summand of vector.
 
     Returns (span, truncated).  Under the cap policy of cover_classes, past
     the cap only the basis vectors themselves are returned.
@@ -110,13 +111,13 @@ def kernel_span(basis: Sequence[GF2Vector],
     width = basis[0].length if basis else 0
     truncated = k > 0 and 2 ** k - 1 > cap
     if truncated:
-        span = [(1 << i, v) for i, v in enumerate(basis)]
+        span = [(v.to_bits(), 1 << i, v) for i, v in enumerate(basis)]
     else:
         bits = xor_span([v.bits for v in basis])
-        span = [(mask, GF2Vector(width, bits[mask]))
+        span = [((v := GF2Vector(width, bits[mask])).to_bits(), mask, v)
                 for mask in range(1, 2 ** k)]
-    # the bit string read from bit 0 up orders like the tuple of bits
-    span.sort(key=lambda item: format(item[1].bits, f"0{width}b")[::-1])
+    # the masks all differ, so the sort never compares two vectors
+    span.sort()
     return span, truncated
 
 

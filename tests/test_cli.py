@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import z2index.cli as cli
 import z2index.exactlinalg as exactlinalg
 from z2index.cli import main
 from z2index.exactlinalg import (
+    DimensionError,
     GF2Matrix,
     GF2Vector,
     IntMatrix,
@@ -452,6 +454,40 @@ class TestOneAnalysisPerDocument:
         assert torsion_linking(b, (1, 0, 0, 0), (1, 0, 0, 0)).value == (
             Fraction(2, 5))
         assert smith_forms == []
+
+    def test_symmetry_checked_once(self, tmp_path, monkeypatch):
+        """The presentation checks that its matrix is symmetric, and the
+        analysis reads that result: one evaluation per matrix of a document,
+        so one for a plain matrix, and one for each part of a connected sum
+        and one for their join.  A bare matrix handed to `Analysis.of` or
+        `classify_all` is checked too."""
+        evaluated = []
+        check = IntMatrix.__dict__["is_symmetric"].func
+
+        def counted(self):
+            evaluated.append(self.rows)
+            return check(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(IntMatrix, "is_symmetric")
+        monkeypatch.setattr(IntMatrix, "is_symmetric", prop)
+        plain = write_doc(tmp_path, {"matrix": [[2, 1], [1, 2]]}, "plain.json")
+        nested = write_doc(tmp_path, {"preset": "connected_sum", "parts": [
+            {"matrix": [[2, 1], [1, 2]]}, {"preset": "lens", "p": 8, "q": 3},
+            {"preset": "connected_sum", "parts": [{"matrix": [[0]]}]}]})
+        for argv, sizes in (
+                (["analyze", plain, "--format", "json"], [2]),
+                (["analyze", plain, "--no-crosscheck"], [2]),
+                (["analyze", nested, "--format", "json"], [2, 2, 1, 5]),
+                (["lens", "160", "159", "--format", "json"], [159])):
+            evaluated.clear()
+            assert run(argv)[0] == 0
+            assert evaluated == sizes, argv
+        evaluated.clear()
+        assert len(borsuk.classify_all(IntMatrix.diagonal([2, 4])).reports) == 3
+        with pytest.raises(DimensionError, match="symmetric"):
+            borsuk.Analysis.of(IntMatrix.from_rows([[2, 1], [0, 2]]))
+        assert evaluated == [2, 2]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

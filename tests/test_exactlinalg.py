@@ -151,6 +151,23 @@ class TestIntegralSolve:
                 assert b.mul_vec(z) == y
 
 
+class TestProducts:
+    def test_mul_vec_matches_the_dense_sum(self):
+        # dense, sparse, all-zero and non-square matrices, zero dimensions
+        rng = random.Random(20261020)
+        for _ in range(300):
+            rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+            weights = rng.choice(((1, 0, 0, 0), (1, 1), (0,)))
+            b = IntMatrix(rows, cols, tuple(
+                tuple(rng.choice(weights) * rng.randint(-2 ** 70, 2 ** 70)
+                      for _ in range(cols)) for _ in range(rows)))
+            x = [rng.randint(-9, 9) for _ in range(cols)]
+            assert b.mul_vec(x) == tuple(
+                sum(e * xi for e, xi in zip(row, x)) for row in b.entries)
+            with pytest.raises(DimensionError):
+                b.mul_vec(x + [1])
+
+
 class TestGF2:
     def test_kernel_examples(self):
         assert [v.to_bits() for v in gf2_kernel_basis(
@@ -195,6 +212,15 @@ class TestGF2:
     def test_vector_roundtrip(self):
         v = GF2Vector.from_bits((1, 0, 1, 1))
         assert v.to_bits() == (1, 0, 1, 1)
+
+    def test_bits_match_the_per_coordinate_shifts(self):
+        # lengths 0 and 1, byte boundaries, long vectors, 0 and all ones
+        rng = random.Random(20261019)
+        lengths = [0, 1, 2, 7, 8, 9, 15, 16, 17, 159, 1000]
+        for length in lengths + [rng.randint(0, 300) for _ in range(200)]:
+            for bits in {0, (1 << length) - 1, rng.getrandbits(length)}:
+                assert GF2Vector(length, bits).to_bits() == tuple(
+                    (bits >> i) & 1 for i in range(length)), (length, bits)
 
 
 class TestCongruence:
