@@ -67,8 +67,9 @@ _ZERO_TEXT, _HALF_TEXT = str(_ZERO), str(_HALF)
 
 
 class ClassEntry(dict):
-    """The entry of one class in a report, with the eight keys `_class_doc`
-    gives it, in that order; `render_json` writes it by one template."""
+    """The entry of one class in a report, as `_class_doc` builds it: eight
+    keys in that order, with `class` the same tuple as `lift`.
+    `render_json` writes it by one template."""
 
     __slots__ = ()
 
@@ -159,10 +160,10 @@ def render_json(value, pad: str = "\n") -> str:
     makes one generator step and one small string per item.  Here every
     container is one `join`, and a list of exact `int`s (no `bool`) joins
     their `repr`, which for an exact `int` is `int.__repr__`, the form the
-    stdlib writes.  A `ClassEntry` with its eight keys, one per class of a
-    report, is written by one template that looks at no value's type: its
-    lists are tuples of exact `int`s, its `self_linking` is None or a
-    string, and its shared `class` and `lift` tuple is written once.  Keys
+    stdlib writes.  A `ClassEntry`, one per class of a report, is written
+    by one template that looks at no value's type: its lists are tuples of
+    exact `int`s, its `self_linking` is None or a string, and its `class`
+    is its `lift`, so that tuple is written once for both keys.  Keys
     must be strings: any other key raises TypeError, where `json.dumps`
     would write an `int`, `float`, `bool` or `None` key as a string.  `pad`
     is the newline and indentation of the line that holds `value`.
@@ -188,7 +189,7 @@ def render_json(value, pad: str = "\n") -> str:
             items = [render_json(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
     if isinstance(value, dict):
-        if t is ClassEntry and len(value) == 8:  # the keys of `_class_doc`
+        if t is ClassEntry:
             return _class_json(value, pad)
         if not value:
             return "{}"
@@ -210,12 +211,10 @@ def _int_list(items, pad: str) -> str:
 def _class_json(entry: ClassEntry, pad: str) -> str:
     """The text of `render_json(entry, pad)`, by the template of a class."""
     inner = pad + "  "
-    lift, link = entry["lift"], entry["self_linking"]
-    lift_text = _int_list(lift, inner)
-    class_text = (lift_text if entry["class"] is lift
-                  else _int_list(entry["class"], inner))
+    link = entry["self_linking"]
+    lift_text = _int_list(entry["lift"], inner)
     return (
-        f'{{{inner}"class": {class_text},'
+        f'{{{inner}"class": {lift_text},'
         f'{inner}"lift": {lift_text},'
         f'{inner}"bockstein_rep": {_int_list(entry["bockstein_rep"], inner)},'
         f'{inner}"beta_vanishes": '

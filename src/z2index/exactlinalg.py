@@ -79,12 +79,7 @@ class IntMatrix:
 
     @cached_property
     def _sparse_rows(self):
-        """(columns, values) of the nonzero entries of each row, or None when
-        half the entries or more are nonzero, where a sum over every entry
-        of a row is the faster one."""
-        zeros = sum(row.count(0) for row in self.entries)
-        if 2 * zeros <= self.rows * self.cols:
-            return None
+        """(columns, values) of the nonzero entries of each row."""
         columns = range(self.cols)
         return tuple((tuple(compress(columns, row)), tuple(compress(row, row)))
                      for row in self.entries)
@@ -113,14 +108,11 @@ class IntMatrix:
             raise DimensionError(
                 f"vector length {len(vec)} != column count {self.cols}"
             )
-        mul, rows = operator.mul, self._sparse_rows
-        if rows is None:
-            return tuple(sum(map(mul, row, vec)) for row in self.entries)
         # a sum over the nonzero entries of each row, so a sparse matrix,
         # such as the chain of a lens space, costs its nonzeros, not n^2
-        at = vec.__getitem__
+        mul, at = operator.mul, vec.__getitem__
         return tuple(sum(map(mul, values, map(at, columns)))
-                     for columns, values in rows)
+                     for columns, values in self._sparse_rows)
 
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(

@@ -153,7 +153,8 @@ class TestIntegralSolve:
 
 class TestProducts:
     def test_mul_vec_matches_the_dense_sum(self):
-        # dense, sparse, all-zero and non-square matrices, zero dimensions
+        # a sum over the nonzeros, on dense, sparse, all-zero and non-square
+        # matrices and zero dimensions
         rng = random.Random(20261020)
         for _ in range(300):
             rows, cols = rng.randint(0, 9), rng.randint(0, 9)
