@@ -19,10 +19,10 @@ triple cup is, because X^T B X' is even when B X' is even.  The
 self-linking is, because 2 lk(a, b) = lk(2a, b) = 0 for a and b of order
 2.  The Bockstein vanishes exactly on K1, the reduction mod 2 of ker_Z(B)
 (Bockstein sequence; Hatcher, Algebraic Topology, 3.E).  So an `Analysis`
-classifies the k basis classes of K once: B X, the public `triple_cup`
-and, with the cross-check, the order n of Y, an exact solution z of
-B z = nY and that identity; it keeps these as bitmasks over the basis,
-and K1 as a GF(2) echelon of masks.
+classifies the k basis classes of K once: one B X each, which gives Y and
+the triple cup X . Y mod 2, and, with the cross-check, the order n of Y,
+an exact solution z of B z = nY and that identity; it keeps these as
+bitmasks over the basis, and K1 as a GF(2) echelon of masks.
 
 B is block-diagonal up to a permutation, with one block per connected
 component of the graph in which i and j are joined when B_ij != 0.  H_1,
@@ -39,7 +39,9 @@ checks that its blocks partition the indices of B and hold every nonzero
 entry of B, so that a split cannot lose kernel vectors.  Nothing is kept
 from one presentation to the next.
 
-A class is then a mask over the basis.  It costs one B X, the sum of the
+A class is then its lift X, the tuple of its bits, with its mask over the
+basis: `kernel_span` hands on the pair, and the report keeps the lift, so
+no vector object is built for a class.  It costs one B X, the sum of the
 rows of B at the support of X, which gives the reported Y and
 X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is the parity
 of the basis masks and the reduction of its mask against K1.  The class
@@ -81,9 +83,9 @@ _HALF = QmodZ(Fraction(1, 2))
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Verdict for one double-cover class."""
+    """Verdict for one double-cover class, given by its lift: the class
+    is the reduction mod 2 of the 0/1 vector lift."""
 
-    cover_class: CoverClass
     lift: tuple[int, ...]
     bockstein_rep: tuple[int, ...]
     beta_vanishes: bool
@@ -219,24 +221,24 @@ class Analysis:
 
     @cached_property
     def _basis_classes(self) -> tuple[tuple, ...]:
-        """(t, lift, Y, triple cup) of each basis class.
+        """(t, lift, Y, triple cup) of each basis class, from one B X.
 
         The class lies in block t, and lift and Y are restricted to that
-        block, where B X vanishes outside it."""
+        block, where B X vanishes outside it.  The triple cup is X . Y mod
+        2, since X . Y = (1/2) X^T B X."""
         rows = []
         for _, t, lift in self._block_kernels:
             block = self.blocks[t]
             try:
                 y = bockstein_representative(block.b, lift)
-                cup = triple_cup(block.b, lift)
             except ValueError as exc:
-                # the basis comes from the mod-2 kernel: an odd B X or
-                # X^T B X is a fault of this program, not of its input
+                # the basis comes from the mod-2 kernel: an odd B X is a
+                # fault of this program, not of its input
                 raise InvariantViolation(
                     f"mod-2 kernel basis class {list(lift)} of block "
                     f"{list(block.index)}: {exc}"
                 ) from exc
-            rows.append((t, lift, y, cup))
+            rows.append((t, lift, y, _dot(lift, y) & 1))
         return tuple(rows)
 
     @cached_property
@@ -329,10 +331,10 @@ class Analysis:
             mask |= half << i
         return mask
 
-    def _report(self, mask: int, lift: tuple[int, ...], x: CoverClass,
+    def _report(self, mask: int, lift: tuple[int, ...],
                 crosscheck: bool) -> IndexReport:
-        """Classify the class x, with bits lift, which is the sum of the
-        basis classes in mask, from the basis masks and one B X."""
+        """Classify the class with bits lift, which is the sum of the basis
+        classes in mask, from the basis masks and one B X."""
         # b is symmetric, which `of` checked, so its rows are its columns
         w = _row_sum(self.b, lift)
         if any(map((1).__and__, w)):
@@ -362,7 +364,6 @@ class Analysis:
             self_linking = _HALF if direct else _ZERO
         index = 3 if cup == 1 else (1 if vanishes else 2)
         return IndexReport(
-            cover_class=x,
             lift=lift,
             bockstein_rep=y,
             beta_vanishes=vanishes,
@@ -387,7 +388,7 @@ class Analysis:
         if span != v.bits:
             raise ValueError("class is not in the mod-2 kernel of the "
                              "linking matrix")
-        return self._report(mask, x.bits(), x, crosscheck)
+        return self._report(mask, x.bits(), crosscheck)
 
     def classify_all(self, cap: int = 1024, *,
                      crosscheck: bool = True) -> ClassificationResult:
@@ -401,8 +402,8 @@ class Analysis:
                 analysis=self,
             )
         span, truncated = kernel_span(self.basis, cap)
-        reports = tuple(self._report(mask, lift, CoverClass(v), crosscheck)
-                        for lift, mask, v in span)
+        reports = tuple(self._report(mask, lift, crosscheck)
+                        for lift, mask in span)
         note = None
         if not reports:
             note = "no connected double cover"

@@ -50,16 +50,6 @@ class IntMatrix:
         return cls(nrows, ncols, entries)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(
-            tuple(int(i == j) for j in range(n)) for i in range(n)
-        ))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
     def diagonal(cls, diag) -> "IntMatrix":
         diag = [int(d) for d in diag]
         n = len(diag)
@@ -196,10 +186,6 @@ class AbelianGroup:
                 raise ValueError("invariant factors must form a divisor chain")
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and self.free_rank == 0
 
 
 def eliminate(a: list[list[int]], m: int, n: int) -> list[list[int]]:
@@ -441,6 +427,15 @@ def congruence_transform(b: IntMatrix, p: IntMatrix) -> IntMatrix:
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def word_bits(word: int, length: int) -> tuple[int, ...]:
+    """The bits 0 .. length - 1 of word as a tuple of 0s and 1s, bit 0
+    first."""
+    # the binary digits below a 1 set at place `length`, bit 0 first,
+    # each turned from the character "0" or "1" into the byte 0 or 1
+    return tuple(bin(word | 1 << length)[:2:-1].encode()
+                 .translate(_DIGIT_BYTES))
+
+
 @dataclass(frozen=True)
 class GF2Vector:
     """Vector over the two-element field, bit-packed (bit i = coordinate i)."""
@@ -467,10 +462,7 @@ class GF2Vector:
         return (self.bits >> i) & 1
 
     def to_bits(self) -> tuple[int, ...]:
-        # the binary digits below a 1 set at place `length`, bit 0 first,
-        # each turned from the character "0" or "1" into the byte 0 or 1
-        return tuple(bin(self.bits | 1 << self.length)[:2:-1].encode()
-                     .translate(_DIGIT_BYTES))
+        return word_bits(self.bits, self.length)
 
     @property
     def is_zero(self) -> bool:
@@ -499,15 +491,6 @@ class GF2Matrix:
         return cls(b.rows, b.cols, tuple(
             sum(1 << j for j in compress(columns, row) if row[j] & 1)
             for row in b.entries))
-
-    def mul_vec(self, x: GF2Vector) -> GF2Vector:
-        if x.length != self.cols:
-            raise DimensionError("length mismatch")
-        bits = 0
-        for i, w in enumerate(self.row_words):
-            if (w & x.bits).bit_count() & 1:
-                bits |= 1 << i
-        return GF2Vector(self.rows, bits)
 
 
 def gf2_kernel_basis(bbar: GF2Matrix) -> list[GF2Vector]:

@@ -23,6 +23,7 @@ from .exactlinalg import (
     checked_solution,
     cokernel_structure,
     gf2_kernel_basis,
+    word_bits,
 )
 
 
@@ -43,10 +44,6 @@ class QmodZ:
     @classmethod
     def from_fraction(cls, f) -> "QmodZ":
         return cls(Fraction(f) % 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     def __str__(self) -> str:
         return str(self.value)
@@ -94,15 +91,15 @@ def cover_classes(b: IntMatrix, cap: int = 1024) -> tuple[list[CoverClass], bool
     _require_symmetric(b)
     span, truncated = kernel_span(
         gf2_kernel_basis(GF2Matrix.from_int_matrix(b)), cap)
-    return [CoverClass(v) for _, _, v in span], truncated
+    return [CoverClass.from_bits(lift) for lift, _ in span], truncated
 
 
 def kernel_span(basis: Sequence[GF2Vector], cap: int = 1024) -> tuple[
-        list[tuple[tuple[int, ...], int, GF2Vector]], bool]:
-    """The nonzero vectors spanned by a mod-2 kernel basis, each as
-    (lift, mask, vector), in lexicographic order of lift: lift is the
+        list[tuple[tuple[int, ...], int]], bool]:
+    """The nonzero vectors spanned by a mod-2 kernel basis, each as the
+    pair (lift, mask), in lexicographic order of lift: lift is the
     vector's tuple of bits, and bit i of mask is set when basis[i] is a
-    summand of vector.
+    summand of it.  No vector object is built for a class.
 
     Returns (span, truncated).  Under the cap policy of cover_classes, past
     the cap only the basis vectors themselves are returned.
@@ -111,12 +108,11 @@ def kernel_span(basis: Sequence[GF2Vector], cap: int = 1024) -> tuple[
     width = basis[0].length if basis else 0
     truncated = k > 0 and 2 ** k - 1 > cap
     if truncated:
-        span = [(v.to_bits(), 1 << i, v) for i, v in enumerate(basis)]
+        span = [(v.to_bits(), 1 << i) for i, v in enumerate(basis)]
     else:
-        bits = xor_span([v.bits for v in basis])
-        span = [((v := GF2Vector(width, bits[mask])).to_bits(), mask, v)
+        words = xor_span([v.bits for v in basis])
+        span = [(word_bits(words[mask], width), mask)
                 for mask in range(1, 2 ** k)]
-    # the masks all differ, so the sort never compares two vectors
     span.sort()
     return span, truncated
 

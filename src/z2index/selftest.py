@@ -109,8 +109,7 @@ def suite_sphere(recorder: Recorder | None = None):
     """Antipodal involution on S^3: the (-2)-framed unknot, index 3."""
     b = IntMatrix.from_rows([[-2]])
     result = classify_all(b)
-    ok = [(r.index, r.cover_class.bits())
-          for r in result.reports] == [(3, (1,))]
+    ok = [(r.index, r.lift) for r in result.reports] == [(3, (1,))]
     if recorder is not None and ok:
         recorder.append((b, result.reports[0]))
     return ok, f"[[-2]] -> {[r.index for r in result.reports]} (want [3])"
@@ -205,14 +204,13 @@ def suite_diagonal_oracle(trials: int = 500, seed: int = 20260823,
         b = IntMatrix.diagonal(diag)
         # the cap 2^n never truncates
         for report in classify_all(b, cap=1 << n).reports:
-            x = report.cover_class
             if recorder is not None:
                 recorder.append((b, report))
             classified += 1
-            if report.index != diagonal_index(diag, x):
-                return False, (f"diag {diag}, class {x.bits()}: classifier "
-                               f"{report.index} != closed form "
-                               f"{diagonal_index(diag, x)}")
+            closed = diagonal_index(diag, CoverClass.from_bits(report.lift))
+            if report.index != closed:
+                return False, (f"diag {diag}, class {report.lift}: classifier "
+                               f"{report.index} != closed form {closed}")
     return True, f"{trials} matrices, {classified} classes agree"
 
 
@@ -236,7 +234,6 @@ def suite_lift_independence(trials: int = 1000, seed: int = 20260824,
         if not reports:
             continue
         report = rng.choice(reports)
-        x = report.cover_class
         if recorder is not None:
             recorder.append((b, report))
         z = [rng.randint(-4, 4) for _ in range(n)]
@@ -246,7 +243,7 @@ def suite_lift_independence(trials: int = 1000, seed: int = 20260824,
             report.index, report.beta_vanishes, report.triple_cup
         ):
             return False, (
-                f"b={b.to_lists()}, class {x.bits()}, shift {z}: "
+                f"b={b.to_lists()}, class {report.lift}, shift {z}: "
                 f"({index},{vanishes},{cup}) != "
                 f"({report.index},{report.beta_vanishes},{report.triple_cup})")
         done += 1

@@ -37,7 +37,7 @@ def test_all_even_sample_matches_oracle(n, crosscheck):
         result = classify_all(b, cap=1 << n, crosscheck=crosscheck)
         assert len(result.reports) == 2 ** n - 1 and not result.truncated
         for report in rng.sample(result.reports, 25):
-            assert report == oracle_report(b, report.cover_class, crosscheck)
+            assert report == oracle_report(b, report.lift, crosscheck)
 
 
 @pytest.mark.parametrize("kind", ["dense", "even", "singular"])
@@ -51,7 +51,7 @@ def test_truncated_basis_reports_match_oracle(kind):
         assert result.truncated
         assert len(result.reports) == len(Analysis.of(b).basis)
         assert result.reports == tuple(
-            oracle_report(b, r.cover_class, True) for r in result.reports)
+            oracle_report(b, r.lift, True) for r in result.reports)
         truncated += 1
     assert truncated > 0
 
@@ -60,7 +60,8 @@ def test_truncated_basis_reports_match_oracle(kind):
 def test_single_classes_match_classify_all(kind):
     rng = random.Random(20261020)
     for b in matrices(kind, seed=20261020, count=40):
-        reports = {r.cover_class: r for r in classify_all(b).reports}
+        reports = {CoverClass.from_bits(r.lift): r
+                   for r in classify_all(b).reports}
         for x in reports:
             assert classify_class(b, x) == reports[x]
         n = b.rows
@@ -157,7 +158,7 @@ def test_per_class_work(monkeypatch):
     rng = random.Random(20261023)
     b = even_matrix(rng, 8)
     counts = {"mul_vec": 0, "eliminate": 0, "smith": 0, "Fraction": 0,
-              "row_sum": 0}
+              "row_sum": 0, "GF2Vector": 0, "CoverClass": 0}
 
     def counted(name, original):
         def call(*args, **kwargs):
@@ -176,23 +177,29 @@ def test_per_class_work(monkeypatch):
     for module in (borsuk, homology):
         monkeypatch.setattr(module, "Fraction",
                             counted("Fraction", module.Fraction))
+    # every construction of either runs its __post_init__
+    for cls in (GF2Vector, CoverClass):
+        monkeypatch.setattr(cls, "__post_init__",
+                            counted(cls.__name__, cls.__post_init__))
 
-    # the basis classes, once per presentation: B X and the B X of
-    # triple_cup, one elimination per block, B Z for each of the b1
-    # integral kernel vectors, and the cross-check's checked B z; no
-    # transform-carrying Smith form
+    # the basis classes, once per presentation: one B X each, one
+    # elimination per block, B Z for each of the b1 integral kernel
+    # vectors, and the cross-check's checked B z; no transform-carrying
+    # Smith form
     analysis = analysed(b)
     k = len(analysis.basis)
     b1 = analysis.homology.free_rank
     assert k == 8
     assert (counts["mul_vec"], counts["eliminate"], counts["smith"],
-            counts["row_sum"]) == (3 * k + b1, len(analysis.blocks), 0, 0)
+            counts["row_sum"]) == (2 * k + b1, len(analysis.blocks), 0, 0)
 
     # each class: one sum of the rows of B at its support, and no product
-    # of a whole matrix with a vector, elimination or rational arithmetic
+    # of a whole matrix with a vector, elimination, rational arithmetic or
+    # object for the class other than its lift and its report
     for key in counts:
         counts[key] = 0
     result = analysis.classify_all(cap=1 << k)
     assert len(result.reports) == 2 ** k - 1
     assert counts == {"mul_vec": 0, "eliminate": 0, "smith": 0,
-                      "Fraction": 0, "row_sum": 2 ** k - 1}
+                      "Fraction": 0, "row_sum": 2 ** k - 1, "GF2Vector": 0,
+                      "CoverClass": 0}

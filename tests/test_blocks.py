@@ -55,7 +55,7 @@ def lens_block(rng):
 
 def random_block(rng, kind):
     if kind == "zero":
-        return IntMatrix.zeros(1, 1)
+        return IntMatrix.from_rows([[0]])
     if kind == "diagonal":
         return IntMatrix.diagonal([rng.choice((1, -1, 2, -2, 3, 4, -4, 6,
                                                8, -12))])
@@ -129,7 +129,7 @@ def check_against_whole_matrix(b, crosscheck):
     assert result.analysis.homology == smith_normal_form(b).cokernel()
     classes, truncated = cover_classes(b, cap=CAP)
     assert result.truncated == truncated
-    assert [r.cover_class for r in result.reports] == classes
+    assert [r.lift for r in result.reports] == [x.bits() for x in classes]
     for r in result.reports:
         y = bockstein_representative(b, r.lift)
         assert r.bockstein_rep == y
@@ -208,14 +208,15 @@ def even_matrices():
 
 def check_kernel_and_row_sums(b, cap):
     """The block-by-block kernel basis against `gf2_kernel_basis` of the
-    whole matrix, vector for vector, and 2Y against B X by `mul_vec` for
-    every class reported; returns the number of classes."""
+    whole matrix, vector for vector, and, for every class reported, its
+    lift as a 0/1 vector with 2Y = B X by `mul_vec`; returns the number of
+    classes."""
     analysis = Analysis.of(b)
     whole = gf2_kernel_basis(GF2Matrix.from_int_matrix(b))
     assert list(analysis.basis) == whole
     reports = analysis.classify_all(cap=cap).reports
     for r in reports:
-        assert r.cover_class.bits() == r.lift
+        assert len(r.lift) == b.rows and set(r.lift) <= {0, 1}
         assert tuple(2 * e for e in r.bockstein_rep) == b.mul_vec(r.lift)
     return len(reports)
 

@@ -69,7 +69,7 @@ class TestClassify:
         assert report.bockstein_rep == (-2,)
         assert not report.beta_vanishes
         assert report.triple_cup == 0
-        assert report.self_linking.is_zero
+        assert report.self_linking.value == 0
 
     def test_s1xs2_quotients(self):
         assert classify_class(mat([[0]]),
@@ -92,7 +92,7 @@ class TestClassify:
         reports = classify_all(mat([[-4]])).reports
         assert [r.index for r in reports] == [2]
         reports = classify_all(mat([[2, 0], [0, 2]])).reports
-        assert [(r.cover_class.bits(), r.index) for r in reports] == \
+        assert [(r.lift, r.index) for r in reports] == \
             [((0, 1), 3), ((1, 0), 3), ((1, 1), 2)]
 
     def test_classify_all_empty_presentation(self):

@@ -131,6 +131,5 @@ def test_kernel_span_order_equals_the_string_key_order():
         cap = rng.choice((0, 1, 2 ** k - 2, 1024))
         span, truncated = kernel_span(basis, cap)
         assert truncated == (k > 0 and 2 ** k - 1 > cap)
-        assert [(mask, v) for _, mask, v in span] == _string_key_span(
-            basis, cap), (basis, cap)
-        assert all(lift == v.to_bits() for lift, _, v in span)
+        assert span == [(v.to_bits(), mask) for mask, v in _string_key_span(
+            basis, cap)], (basis, cap)

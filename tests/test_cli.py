@@ -195,16 +195,26 @@ class TestSelftest:
             assert unit == "s" and float(seconds) >= 0
 
     def test_injected_sign_bug_is_caught(self, monkeypatch):
-        # flip the parity criterion and the lens sweep must fail
-        import z2index.borsuk as borsuk
+        # flip the engine's triple cup of every basis class and the lens
+        # sweep must fail
         from z2index.selftest import suite_lens_sweep
 
-        original = borsuk.triple_cup
-        monkeypatch.setattr(
-            borsuk, "triple_cup", lambda b, lift: 1 - original(b, lift)
-        )
+        original = borsuk.Analysis.cup_mask.func
+        monkeypatch.setattr(borsuk.Analysis, "cup_mask", property(
+            lambda self: original(self) ^ (1 << len(self.basis)) - 1))
         result = suite_lens_sweep(pmax=12)
         assert result.name == "lens_sweep" and not result.passed
+
+    def test_injected_oracle_sign_bug_is_caught(self, monkeypatch):
+        # flip the public triple_cup, the oracle the engine no longer
+        # calls, and the lift independence suite must fail
+        import z2index.selftest as selftest
+
+        original = borsuk.triple_cup
+        monkeypatch.setattr(selftest, "triple_cup",
+                            lambda b, lift: 1 - original(b, lift))
+        result = selftest.suite_lift_independence(trials=20)
+        assert result.name == "lift_independence" and not result.passed
 
 
 class TestErrorBoundary:
@@ -234,29 +244,20 @@ class TestErrorBoundary:
         assert code == 4
         assert "internal invariant violation" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("failing", ["bockstein_representative",
-                                         "triple_cup"])
-    def test_odd_kernel_class_exits_4(self, tmp_path, monkeypatch, capsys,
-                                      failing):
+    def test_odd_kernel_class_exits_4(self, tmp_path, monkeypatch, capsys):
         # each block's kernel basis is the vector 1, which is outside the
-        # mod-2 kernel of the 1x1 block [[1]]: its B X and X^T B X are odd,
-        # which inside the classifier is a fault of the program and not of
-        # its input.  The class (0, 1) comes first and is even, so the odd
-        # basis class is met by the basis classifier, through `failing`
+        # mod-2 kernel of the 1x1 block [[1]]: its B X is odd, which inside
+        # the classifier is a fault of the program and not of its input.
+        # The class (0, 1) comes first and is even, so the odd basis class
+        # is met by the basis classifier, through bockstein_representative
         monkeypatch.setattr(borsuk, "gf2_kernel_basis",
                             lambda bbar: [GF2Vector.from_bits((1,))])
-        if failing == "triple_cup":
-            # let the odd B X through, so that triple_cup sees it first
-            monkeypatch.setattr(borsuk, "bockstein_representative",
-                                lambda b, lift: tuple(
-                                    e // 2 for e in b.mul_vec(lift)))
         path = write_doc(tmp_path, {"matrix": [[1, 0], [0, 2]]})
         code, _ = run(["analyze", path])
         assert code == 4
         err = capsys.readouterr().err
         assert "mod-2 kernel basis class [1] of block [0]" in err
-        assert {"bockstein_representative": "B X is not even",
-                "triple_cup": "X^T B X is odd"}[failing] in err
+        assert "B X is not even" in err
 
     def test_odd_lift_passed_in_is_an_input_error(self):
         # the public functions keep ValueError, which `main` maps to exit 2
