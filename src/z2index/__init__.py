@@ -1,80 +1,62 @@
 """Borsuk-Ulam Z2-index classification for free involutions on closed
-oriented 3-manifolds given by surgery presentations."""
+oriented 3-manifolds given by surgery presentations.
+
+The public names load with their module on first access (PEP 562), so
+that importing one submodule, such as `z2index.cli`, loads no other.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .borsuk import (
-    ClassificationResult,
-    IndexReport,
-    InvariantViolation,
-    classify_all,
-    classify_class,
-    diagonal_index,
-)
-from .catalog import CatalogEntry, lens_rule_index, lookup
-from .exactlinalg import (
-    AbelianGroup,
-    DimensionError,
-    GF2Matrix,
-    GF2Vector,
-    IntMatrix,
-    SmithDecomposition,
-    cokernel_structure,
-    congruence_transform,
-    gf2_kernel_basis,
-    is_in_integral_image,
-    order_in_cokernel,
-    smith_normal_form,
-    solve_integral,
-)
-from .homology import (
-    CoverClass,
-    QmodZ,
-    cover_classes,
-    first_homology,
-    torsion_linking,
-)
-from .surgery import (
-    PresentationError,
-    SurgeryPresentation,
-    connected_sum,
-    empty_presentation,
-    lens_presentation,
-    parse_presentation,
-)
+# each public name and the submodule that defines it
+_MODULE_OF = {
+    "AbelianGroup": "exactlinalg",
+    "CatalogEntry": "catalog",
+    "ClassificationResult": "borsuk",
+    "CoverClass": "homology",
+    "DimensionError": "exactlinalg",
+    "GF2Matrix": "exactlinalg",
+    "GF2Vector": "exactlinalg",
+    "IndexReport": "borsuk",
+    "IntMatrix": "exactlinalg",
+    "InvariantViolation": "exactlinalg",
+    "PresentationError": "surgery",
+    "QmodZ": "homology",
+    "SmithDecomposition": "exactlinalg",
+    "SurgeryPresentation": "surgery",
+    "classify_all": "borsuk",
+    "classify_class": "borsuk",
+    "cokernel_structure": "exactlinalg",
+    "congruence_transform": "exactlinalg",
+    "connected_sum": "surgery",
+    "cover_classes": "homology",
+    "diagonal_index": "borsuk",
+    "empty_presentation": "surgery",
+    "first_homology": "homology",
+    "gf2_kernel_basis": "exactlinalg",
+    "is_in_integral_image": "exactlinalg",
+    "lens_presentation": "surgery",
+    "lens_rule_index": "borsuk",
+    "lookup": "catalog",
+    "order_in_cokernel": "exactlinalg",
+    "parse_presentation": "surgery",
+    "smith_normal_form": "exactlinalg",
+    "solve_integral": "exactlinalg",
+    "torsion_linking": "homology",
+}
 
-__all__ = [
-    "AbelianGroup",
-    "CatalogEntry",
-    "ClassificationResult",
-    "CoverClass",
-    "DimensionError",
-    "GF2Matrix",
-    "GF2Vector",
-    "IndexReport",
-    "IntMatrix",
-    "InvariantViolation",
-    "PresentationError",
-    "QmodZ",
-    "SmithDecomposition",
-    "SurgeryPresentation",
-    "classify_all",
-    "classify_class",
-    "cokernel_structure",
-    "congruence_transform",
-    "connected_sum",
-    "cover_classes",
-    "diagonal_index",
-    "empty_presentation",
-    "first_homology",
-    "gf2_kernel_basis",
-    "is_in_integral_image",
-    "lens_presentation",
-    "lens_rule_index",
-    "lookup",
-    "order_in_cokernel",
-    "parse_presentation",
-    "smith_normal_form",
-    "solve_integral",
-    "torsion_linking",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

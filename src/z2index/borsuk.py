@@ -450,3 +450,14 @@ def diagonal_index(diagonal, x: CoverClass) -> int:
     if selected:
         return 2
     return 1
+
+
+def lens_rule_index(p: int):
+    """Expected index for the double cover of L(p, q), any valid q.
+
+    None for odd p (no connected double cover); otherwise 3 iff
+    p = 2 mod 4, else 2.  Independent of q.
+    """
+    if p % 2:
+        return None
+    return 3 if p % 4 == 2 else 2

@@ -6,12 +6,16 @@ quotient admits an orientable surgery presentation carry one and are
 re-verified against the classifier in tests; the nonorientable quotients
 (K^3, S^1 x RP^2) are recorded as cited literature results since the
 surgery pipeline only reaches orientable quotients.
+
+The lens family rule `lens_rule_index` lives in `borsuk`, next to
+`diagonal_index`, and is re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .borsuk import lens_rule_index  # noqa: F401  re-exported
 from .exactlinalg import IntMatrix
 from .surgery import SurgeryPresentation
 
@@ -144,15 +148,4 @@ def lookup(name: str) -> list[CatalogEntry]:
         if _canonical(e.cover_manifold) == target
         or _canonical(e.quotient_manifold) == target
     ]
-
-
-def lens_rule_index(p: int):
-    """Expected index for the double cover of L(p, q), any valid q.
-
-    None for odd p (no connected double cover); otherwise 3 iff
-    p = 2 mod 4, else 2.  Independent of q.
-    """
-    if p % 2:
-        return None
-    return 3 if p % 4 == 2 else 2
 

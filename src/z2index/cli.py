@@ -17,6 +17,10 @@ text is byte-identical to `json.dumps(doc, indent=2, ensure_ascii=False)`.
 `main` builds its argument parser on its first call and reuses it for
 every later call in the process.  The parser holds nothing derived from
 input; `build_parser()` returns a new parser on every call.
+
+Importing this module loads only what analyze and lens run: `borsuk`,
+`exactlinalg`, `homology` and `surgery`.  The catalog and selftest
+commands import `catalog` and `selftest` on their first call.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .borsuk import (
     IndexReport,
     InvariantViolation,
     classify_all,
+    lens_rule_index,
 )
-from .catalog import lens_rule_index, lookup
 from .exactlinalg import IntMatrix
 from .surgery import (
     PresentationError,
@@ -47,7 +51,6 @@ from .surgery import (
     lens_presentation,
     parse_presentation,
 )
-from .selftest import run_all
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -239,10 +242,11 @@ def _classify_presentation(pres: SurgeryPresentation, args,
     b = pres.matrix
     result = classify_all(b, cap=args.cap, crosscheck=not args.no_crosscheck)
     if result.truncated and not args.allow_truncate:
+        count = 2 ** len(result.analysis.basis) - 1
+        noun = "cover class exceeds" if count == 1 else "cover classes exceed"
         raise CapExceededError(
-            f"{2 ** len(result.analysis.basis) - 1} cover classes exceed "
-            f"the cap of {args.cap}; pass --allow-truncate to classify a "
-            "basis only"
+            f"{count} {noun} the cap of {args.cap}; pass "
+            "--allow-truncate to classify a basis only"
         )
     return build_report(pres, result, b, warnings)
 
@@ -288,6 +292,8 @@ def cmd_lens(args, out) -> int:
 
 
 def cmd_catalog(args, out) -> int:
+    from .catalog import lookup
+
     entries = lookup(args.name)
     doc = {
         "schema": 1,
@@ -320,6 +326,8 @@ def cmd_catalog(args, out) -> int:
 
 
 def cmd_selftest(args, out) -> int:
+    from .selftest import run_all
+
     results = run_all(quick=args.quick)
     failed = 0
     for r in results:

@@ -22,9 +22,10 @@ from .borsuk import (
     classify_all,
     classify_class,
     diagonal_index,
+    lens_rule_index,
     triple_cup,
 )
-from .catalog import ENTRIES, lens_rule_index
+from .catalog import ENTRIES
 from .exactlinalg import (
     IntMatrix,
     congruence_transform,

@@ -1,5 +1,6 @@
 import pytest
 
+import z2index.borsuk as borsuk
 from z2index.borsuk import classify_class
 from z2index.catalog import (
     ENTRIES,
@@ -67,3 +68,6 @@ class TestLensRule:
         assert lens_rule_index(4) == 2
         assert lens_rule_index(8) == 2
         assert lens_rule_index(5) is None
+
+    def test_catalog_reexports_the_rule_of_borsuk(self):
+        assert lens_rule_index is borsuk.lens_rule_index

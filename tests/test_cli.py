@@ -1,5 +1,7 @@
 import argparse
+import ast
 import copy
+import importlib
 import io
 import json
 import os
@@ -272,6 +274,16 @@ class TestErrorBoundary:
         assert exc.value.code == 2
         assert "--cap: must be 0 or more, not -5" in capsys.readouterr().err
 
+    def test_cap_message_counts_the_classes(self, tmp_path, capsys):
+        tail = "; pass --allow-truncate to classify a basis only\n"
+        assert run(["lens", "2", "1", "--cap", "0"]) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: 1 cover class exceeds the cap of 0" + tail)
+        path = write_doc(tmp_path, {"matrix": [[2, 0], [0, 2]]})
+        assert run(["analyze", path, "--cap", "1"]) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: 3 cover classes exceed the cap of 1" + tail)
+
     def test_cap_zero_admits_no_class(self):
         assert run(["lens", "2", "1", "--cap", "0"])[0] == 3
         code, text = run(["lens", "2", "1", "--cap", "0", "--allow-truncate",
@@ -384,6 +396,69 @@ class TestParserReuse:
                 "import z2index.cli\n"
                 "print(len(built))\n")
         assert _run_fresh("-c", code) == (0, "0\n", "")
+
+
+# the z2index modules a fresh `import z2index.cli` loads
+CLI_MODULES = ["z2index", "z2index.borsuk", "z2index.cli",
+               "z2index.exactlinalg", "z2index.homology", "z2index.surgery"]
+# prints the z2index modules loaded; stdlib modules are left out, since
+# `site` may import some (a .pth hook) before any z2index code runs
+PRINT_LOADED = ("import sys\n"
+                "print(*sorted(m for m in sys.modules\n"
+                "              if m.split('.')[0] == 'z2index'))\n")
+
+
+class TestImports:
+    """Each command loads only the modules it runs."""
+
+    def test_import_loads_what_analyze_and_lens_run(self):
+        code = "import z2index.cli\nz2index.cli.build_parser()\n"
+        assert _run_fresh("-c", code + PRINT_LOADED) == (
+            0, " ".join(CLI_MODULES) + "\n", "")
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["lens", "12", "5"], []),
+        (["analyze", "{path}", "--format", "json"], []),
+        (["catalog", "RP3"], ["z2index.catalog"]),
+        (["selftest", "--quick"], ["z2index.catalog", "z2index.selftest"]),
+    ], ids=["lens", "analyze", "catalog", "selftest"])
+    def test_each_command_loads_its_own_modules(self, tmp_path, argv, extra):
+        path = write_doc(tmp_path, {"matrix": [[2, 1], [1, -2]]})
+        argv = [arg.format(path=path) for arg in argv]
+        code = ("import io\nimport z2index.cli\n"
+                f"assert z2index.cli.main({argv!r}, out=io.StringIO()) == 0\n")
+        assert _run_fresh("-c", code + PRINT_LOADED)[:2] == (
+            0, " ".join(sorted(CLI_MODULES + extra)) + "\n")
+
+    def test_star_import_binds_every_public_name(self):
+        # each name is the object of the module that defines it
+        code = ("import sys\n"
+                "import z2index\n"
+                "eager = sorted(set(vars(z2index)) & set(z2index.__all__))\n"
+                "from z2index import *\n"
+                "names = z2index.__all__\n"
+                "g = globals()\n"
+                "print(eager, len(names), z2index.__version__)\n"
+                "print([n for n in names if n not in g or g[n] is not getattr(\n"
+                "    sys.modules[g[n].__module__], n)])\n"
+                "print([n for n in names if n not in dir(z2index)])\n"
+                "print(hasattr(z2index, 'cache_clear'))\n")
+        assert _run_fresh("-c", code) == (
+            0, "[] 33 0.1.0\n[]\n[]\nFalse\n", "")
+
+    def test_benchmark_import_surface_resolves(self):
+        # every name perfbench/worker.py imports from z2index, and the
+        # build_parser whose import perfbench/run.py times as setup_s
+        worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+        tree = ast.parse(worker.read_text(encoding="utf-8"))
+        names = [(node.module, alias.name) for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "z2index"
+                 for alias in node.names]
+        assert len(names) > 1
+        names.append(("z2index.cli", "build_parser"))
+        assert [f"{module}.{name}" for module, name in names
+                if not hasattr(importlib.import_module(module), name)] == []
 
 
 def _count_calls(monkeypatch, name):
