@@ -31,8 +31,8 @@ block gets one mod-2 elimination, whose kernel vectors, embedded in B, are
 the basis of K, and one `eliminate`, through `bordered`.  A block with no
 mod-2 kernel vector has odd determinant and runs bare: its diagonal is
 all H_1 needs.  Any other block is bordered by the Y of its basis classes
-and by I below: `checked_solution` reads U Y, the diagonal and V from its
-rows for the cross-check, and the columns of V at the zero
+and by I below: `checked_solution` reads U Y, the diagonal and V from
+its result for the cross-check, and the columns of V at the zero
 diagonal entries span ker_Z, saturated since V is unimodular.  Each is
 checked to solve B Z = 0 exactly, and dim K1 to be b1.  An `Analysis`
 checks that its blocks partition the indices of B and hold every nonzero
@@ -242,10 +242,10 @@ class Analysis:
         return tuple(rows)
 
     @cached_property
-    def _eliminated(self) -> tuple[list[list[int]], ...]:
-        """The rows of each block `bordered` by the Y of its basis classes,
-        in basis order: [U b V | U Y] over V, or U b V alone for a block
-        with no basis class."""
+    def _eliminated(self) -> tuple[tuple[list, list, list], ...]:
+        """Each block `bordered` by the Y of its basis classes, in basis
+        order: the diagonal of U b V, the rows of U Y and the columns of V,
+        or the diagonal alone for a block with no basis class."""
         borders = [[] for _ in self.blocks]
         for t, _, y, _ in self._basis_classes:
             borders[t].append(y)
@@ -257,18 +257,17 @@ class Analysis:
         """H_1 of the surgered manifold: the direct sum of the cokernels of
         the blocks, from the diagonals of their Smith forms."""
         return diagonal_cokernel([
-            rows[i][i] for block, rows in zip(self.blocks, self._eliminated)
-            for i in range(block.b.rows)])
+            d for diagonal, _, _ in self._eliminated for d in diagonal])
 
     @cached_property
     def _integral_kernel(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(t, Z) for each column Z of the V of block t at a zero diagonal
         entry: a basis of ker_Z(b).  A bare block has no V, so Z = ()."""
         return tuple(
-            (t, tuple(row[j] for row in rows[block.b.rows:]))
-            for t, (block, rows) in enumerate(zip(self.blocks,
-                                                  self._eliminated))
-            for j in range(block.b.rows) if rows[j][j] == 0)
+            (t, tuple(columns[j].get(r, 0) for r in range(len(columns)))
+             if columns else ())
+            for t, (diagonal, _, columns) in enumerate(self._eliminated)
+            for j, d in enumerate(diagonal) if d == 0)
 
     @cached_property
     def _kernel_echelon(self) -> tuple[int, ...]:
@@ -311,7 +310,7 @@ class Analysis:
         equal the quarter form and the cup in one integer identity."""
         mask = 0
         # the border column of the next class of each block, which is U Y
-        column = [block.b.rows for block in self.blocks]
+        column = [0] * len(self.blocks)
         for i, (t, _, y, cup) in enumerate(self._basis_classes):
             # infinite order, None, fails the order check below
             n, z = checked_solution(self.blocks[t].b, y, self._eliminated[t],

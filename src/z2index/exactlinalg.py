@@ -70,7 +70,8 @@ class IntMatrix:
     @cached_property
     def _sparse_rows(self):
         """(columns, values) of the nonzero entries of each row."""
-        columns = range(self.cols)
+        # a tuple, so that compress makes no int for a skipped column
+        columns = tuple(range(self.cols))
         return tuple((tuple(compress(columns, row)), tuple(compress(row, row)))
                      for row in self.entries)
 
@@ -188,108 +189,178 @@ class AbelianGroup:
             raise ValueError("free rank must be >= 0")
 
 
-def eliminate(a: list[list[int]], m: int, n: int) -> list[list[int]]:
-    """Bring the leading m x n block of the rows a to Smith normal form in
-    place, and return a.  Row operations act on whole rows and column
-    operations on every row, so rows [b | C] over rows [D] end as
-    [U b V | U C] over [D V], with U b V = S.
+def eliminate(rows: list[dict[int, int]], border: list[list[int]], n: int,
+              columns: list[dict[int, int]]) -> list[int]:
+    """Bring an m x n integer block b to Smith normal form S = U b V, and
+    return the diagonal of S, one entry per row of b.
+
+    rows holds the nonzero entries of each row of b, by column, and is
+    worked on in place.  border, empty or one per row of b, holds the rows
+    of a border C on the right, and row operations act on it in place;
+    columns, empty or one per column of b, holds the nonzero entries of
+    each column of a matrix D below b, by row, and column operations act on
+    it in place.  They end as the rows of U C and the columns of D V; an
+    entry of a column that cancelled stays there as a 0.
 
     Pivot policy (Kannan-Bachem): the pivot at (t, t) is the nonzero entry
-    of least absolute value in the trailing block a[t:m, t:n], the search
-    stopping at the first unit, moved there by one row and one column swap.
-    It reduces every row below and every column to its right; a remainder
-    left in row t or column t starts a new search.  Once both are clear, a
-    pivot other than +-1 that fails to divide a trailing row takes that row
-    into row t and searches again.  Re-picking the least entry of the whole
-    block keeps the entries of U and V small on dense input.  Rows with a
-    negative diagonal entry are negated last.
+    of least absolute value in the trailing block, scanned row by row in
+    position order and stopping at the first unit, moved there by one row
+    and one column swap.  It reduces every row below and every column to
+    its right; a remainder left in row t or column t starts a new search.
+    Once both are clear, a pivot other than +-1 that fails to divide a
+    trailing row takes that row into row t and searches again.  Re-picking
+    the least entry of the whole block keeps the entries of U and V small
+    on dense input.  Rows with a negative diagonal entry are negated last.
+
+    The swaps permute positions, applied to border and columns once at the
+    end, and an index from each column to the rows holding it finds the
+    rows a pivot meets.  So a step costs the entries it changes and their
+    fill, not the size of the block: a lens chain, tridiagonal, costs O(n).
     """
+    m = len(rows)
+    holders = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    order = list(range(m))          # the row at each position
+    cols = list(range(n))           # the column at each position
+    where = cols.copy()             # the position of each column
     t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = abs(a[i][j])
-                if e and (best is None or e < best[0]):
-                    best = e, i, j
+    while t < m and t < n:
+        # the rows at positions t and on are zero left of position t
+        least = 0
+        for pos in range(t, m):
+            if row := rows[order[pos]]:
+                e = min(map(abs, row.values()))
+                if e < least or not least:
+                    least, at = e, pos
                     if e == 1:
                         break
-            else:
-                continue
+        if not least:
             break
-        if best is None:
-            break
-        _, i, j = best
-        a[t], a[i] = a[i], a[t]
-        if j != t:
-            for r in a[t:]:
-                r[t], r[j] = r[j], r[t]
-        # rows above t and columns left of t are clear off the diagonal
-        at, p = a[t], a[t][t]
-        pivot_row = [(k, e) for k, e in enumerate(at) if e]
-        for ai in a[t + 1:m]:
-            if ai[t] and (q := ai[t] // p):
-                for k, e in pivot_row:
-                    ai[k] -= q * e
-        column_ops = [(j, q) for j in range(t + 1, n) if (q := at[j] // p)]
-        if column_ops:
-            for r in a[t:]:
-                if rt := r[t]:
-                    for j, q in column_ops:
-                        r[j] -= q * rt
-        if any(map(operator.itemgetter(t), a[t + 1:m])) or any(at[t + 1:n]):
+        pr = order[at]
+        order[at], order[t] = order[t], pr
+        prow = rows[pr]
+        if len(prow) == 1:
+            pc, = prow
+            j = where[pc]
+        else:
+            _, j = min(zip(map(abs, prow.values()),
+                           map(where.__getitem__, prow)))
+            pc = cols[j]
+        c = cols[t]
+        cols[t], cols[j], where[c], where[pc] = pc, c, j, t
+        p = prow[pc]
+        # |p| is least in the trailing block, so no quotient below is 0
+        below = holders[pc]
+        if len(below) > 1:
+            pivot_row = list(prow.items())
+            pivot_border = ([(k, e) for k, e in enumerate(border[pr]) if e]
+                            if border else ())
+            for i in below - {pr}:
+                q = rows[i][pc] // p
+                _subtract(rows[i], holders, i, pivot_row, q)
+                for k, e in pivot_border:
+                    border[i][k] -= q * e
+        if len(prow) > 1:
+            ops = [(k, e // p) for k, e in prow.items() if k != pc]
+            for i in below:
+                _subtract(rows[i], holders, i, ops, rows[i][pc])
+            if columns:
+                source = columns[pc].items()
+                for k, q in ops:
+                    column = columns[k]
+                    for r, e in source:
+                        if r in column:
+                            column[r] -= q * e
+                        elif e:
+                            column[r] = -q * e
+        if len(below) > 1 or len(prow) > 1:
             continue
-        if p not in (1, -1):
+        if p != 1 and p != -1:
             # the pivot must divide the trailing block, or the divisor
-            # chain fails later; add an offending row to row t
-            off = next((i for i in range(t + 1, m)
-                        if any(e % p for e in a[i][t + 1:n])), None)
-            if off is not None:
-                a[t] = [x + y for x, y in zip(at, a[off])]
-                continue
+            # chain fails later; add an offending row to row t, which is
+            # zero in its columns
+            for pos in range(t + 1, m):
+                off = order[pos]
+                if any(map(p.__rmod__, rows[off].values())):
+                    prow.update(rows[off])
+                    for k in rows[off]:
+                        holders[k].add(pr)
+                    if border:
+                        border[pr] = list(map(operator.add, border[pr],
+                                              border[off]))
+                    break
+            else:
+                t += 1
+            continue
         t += 1
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-    return a
+    diagonal = [rows[order[pos]][cols[pos]] for pos in range(t)]
+    if border:
+        border[:] = map(border.__getitem__, order)
+        for pos, d in enumerate(diagonal):
+            if d < 0:
+                border[pos] = list(map(operator.neg, border[pos]))
+    if columns:
+        columns[:] = map(columns.__getitem__, cols)
+    return list(map(abs, diagonal)) + [0] * (m - t)
 
 
-def identity_rows(n: int) -> list[list[int]]:
-    """The rows of I_n, as lists for `eliminate`."""
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+def _subtract(row: dict[int, int], holders: list[set[int]], i: int, pairs,
+              s: int) -> None:
+    """row -= s * the sparse row pairs, (column, entry), on row i, keeping
+    its nonzero entries and the index holders exact."""
+    for k, e in pairs:
+        if k in row:
+            if x := row[k] - s * e:
+                row[k] = x
+            else:
+                del row[k]
+                holders[k].discard(i)
+        else:
+            row[k] = -s * e
+            holders[k].add(i)
 
 
-def bordered(b: IntMatrix, ys) -> list[list[int]]:
+def bordered(b: IntMatrix, ys):
     """`eliminate` of b bordered by the columns ys on the right and, when
-    there are any, by I_n below: the rows [S | U Y] over [V], with
-    U b V = S, or S alone when ys is empty."""
-    return eliminate([list(row) + [y[i] for y in ys]
-                      for i, row in enumerate(b.entries)]
-                     + (identity_rows(b.cols) if ys else []), b.rows, b.cols)
+    there are any, by I_n below: (diagonal of S, rows of U Y, columns of
+    V), with U b V = S, and neither rows nor columns when ys is empty."""
+    if not ys:
+        rows = [{j: e for j, e in enumerate(row) if e} for row in b.entries]
+        return eliminate(rows, [], b.cols, []), [], []
+    # the checks of a bordered block read b._sparse_rows, so it is made once
+    rows = [dict(zip(*row)) for row in b._sparse_rows]
+    border = list(map(list, zip(*ys)))
+    columns = [{j: 1} for j in range(b.cols)]
+    return eliminate(rows, border, b.cols, columns), border, columns
 
 
 def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms, u @ b @ v == s: b `bordered` by
-    the columns of I_m.  Nothing is memoized."""
+    """Smith normal form with transforms, u @ b @ v == s: b bordered by
+    I_m on the right and by I_n below.  Nothing is memoized."""
     m, n = b.rows, b.cols
-    a = bordered(b, identity_rows(m))
+    border = [[int(i == j) for j in range(m)] for i in range(m)]
+    columns = [{j: 1} for j in range(n)]
+    diagonal = eliminate([dict(zip(*row)) for row in b._sparse_rows], border,
+                         n, columns)
     return SmithDecomposition(
-        u=IntMatrix(m, m, tuple(tuple(row[n:]) for row in a[:m])),
-        s=IntMatrix(m, n, tuple(tuple(row[:n]) for row in a[:m])),
-        # with m = 0 there are no border columns, so `bordered` adds no V rows
-        v=IntMatrix(n, n, tuple(map(tuple, a[m:] or identity_rows(n)))),
+        u=IntMatrix(m, m, tuple(map(tuple, border))),
+        s=IntMatrix(m, n, tuple(tuple(d if j == i else 0 for j in range(n))
+                                for i, d in enumerate(diagonal))),
+        v=IntMatrix(n, n, tuple(tuple(column.get(r, 0) for column in columns)
+                                for r in range(n))),
     )
 
 
-def checked_solution(b: IntMatrix, y, rows, col: int):
+def checked_solution(b: IntMatrix, y, eliminated, col: int):
     """(n, z) with n the least n >= 1 with n*y in im(b) and z = V c an
-    integer solution of b z == n*y, checked exactly, from the rows of
+    integer solution of b z == n*y, checked exactly, from
     `bordered(b, ys)` with y the border column col; None when y has
     infinite order in coker(b).  With w = U y and d the diagonal of S,
     c_i = n*w_i/d_i, and 0 where d_i = 0."""
-    m, cols = b.rows, b.cols
-    w = [row[col] for row in rows[:m]]
-    diagonal = [row[i] if i < cols else 0 for i, row in enumerate(rows[:m])]
+    diagonal, border, columns = eliminated
+    w = [row[col] for row in border]
     n = 1
     for wi, di in zip(w, diagonal):
         if di == 0:
@@ -297,12 +368,14 @@ def checked_solution(b: IntMatrix, y, rows, col: int):
                 return None
         elif wi % di:
             n = lcm(n, di // gcd(di, wi))
-    c = [n * wi // di if di else 0 for wi, di in zip(w, diagonal)]
     # z = V c, a sum over the columns of V at the nonzero c_i
-    support = list(map(bool, c))
-    nonzero = list(compress(c, support))
-    z = tuple(sum(map(operator.mul, compress(row, support), nonzero))
-              for row in rows[m:])
+    z = [0] * b.cols
+    for wi, di, column in zip(w, diagonal, columns):
+        if wi and di:
+            ci = n * wi // di
+            for r, e in column.items():
+                z[r] += ci * e
+    z = tuple(z)
     if b.mul_vec(z) != tuple(n * e for e in y):
         raise InvariantViolation(
             "the Smith-form solution z does not solve b z = n y"
@@ -376,8 +449,7 @@ def cokernel_structure(b: IntMatrix) -> AbelianGroup:
     one bare `eliminate`."""
     if not b.is_square:
         raise DimensionError("cokernel_structure needs a square matrix")
-    rows = bordered(b, ())
-    return diagonal_cokernel([rows[i][i] for i in range(b.rows)])
+    return diagonal_cokernel(bordered(b, ())[0])
 
 
 def _int_vector(y, rows: int) -> tuple[int, ...]:
@@ -391,7 +463,7 @@ def _int_vector(y, rows: int) -> tuple[int, ...]:
 def _solve(b: IntMatrix, y):
     """`checked_solution` of b z = n y, with y as the one border column."""
     y = _int_vector(y, b.rows)
-    return checked_solution(b, y, bordered(b, [y]), b.cols)
+    return checked_solution(b, y, bordered(b, [y]), 0)
 
 
 def order_in_cokernel(b: IntMatrix, y):
@@ -494,33 +566,52 @@ class GF2Matrix:
 
 
 def gf2_kernel_basis(bbar: GF2Matrix) -> list[GF2Vector]:
-    """Basis of {x : bbar @ x == 0} over GF(2); empty iff the kernel is 0."""
-    rows = list(bbar.row_words)
-    n = bbar.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> c) & 1:
-                piv = i
+    """Basis of {x : bbar @ x == 0} over GF(2); empty iff the kernel is 0.
+
+    The vectors are those of the reduced row echelon form: one per free
+    column f, in ascending order of f, with bit f and the bit of each pivot
+    whose reduced row holds f.  Each row word goes into an echelon keyed by
+    its lowest set bit; back-substitution, highest pivot first, clears the
+    other pivot bits from each row.  So the work follows the set bits of
+    the rows and their fill, not n^2: a lens chain costs O(n) operations on
+    its words.
+    """
+    # keys are bit lengths, 1 + the index of a bit, which cost less to
+    # hash than the bit itself on a wide word
+    echelon: dict[int, int] = {}
+    pivots = 0
+    for word in bbar.row_words:
+        while word:
+            low = word & -word
+            c = low.bit_length()
+            if c not in echelon:
+                echelon[c] = word
+                pivots |= low
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
+            word ^= echelon[c]
+    vectors: dict[int, int] = {}
+    for c in sorted(echelon, reverse=True):
+        word = echelon[c]
+        low = 1 << c - 1
+        # the rows of the pivots above are reduced, so each XOR clears one
+        # pivot bit of word and sets no other
+        above = word & pivots ^ low
+        while above:
+            bit = above & -above
+            word ^= echelon[bit.bit_length()]
+            above ^= bit
+        echelon[c] = word
+        free = word ^ low
+        while free:
+            bit = free & -free
+            f = bit.bit_length()
+            vectors[f] = vectors.get(f, bit) | low
+            free ^= bit
+    n = bbar.cols
+    free = ((1 << n) - 1) ^ pivots
     basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        bits = 1 << f
-        for ri, c in enumerate(pivots):
-            if (rows[ri] >> f) & 1:
-                bits |= 1 << c
-        basis.append(GF2Vector(n, bits))
+    while free:
+        bit = free & -free
+        basis.append(GF2Vector(n, vectors.get(bit.bit_length(), bit)))
+        free ^= bit
     return basis

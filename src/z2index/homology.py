@@ -138,11 +138,11 @@ def torsion_linking(b: IntMatrix, a, c) -> QmodZ:
     """
     a, c = _int_vector(a, b.rows), _int_vector(c, b.rows)
     # one elimination, bordered by both classes, serves both
-    rows = bordered(b, [a, c])
-    solved = checked_solution(b, a, rows, b.cols)
+    eliminated = bordered(b, [a, c])
+    solved = checked_solution(b, a, eliminated, 0)
     if solved is None:
         raise NonTorsionError("first class has infinite order in coker(b)")
-    if checked_solution(b, c, rows, b.cols + 1) is None:
+    if checked_solution(b, c, eliminated, 1) is None:
         raise NonTorsionError("second class has infinite order in coker(b)")
     n, z = solved
     return QmodZ.from_fraction(

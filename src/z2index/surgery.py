@@ -21,8 +21,9 @@ class PresentationError(ValueError):
     """Invalid surgery presentation input."""
 
 
-# the most link components a presentation may have; the Smith form of an
-# n x n block costs about n^3, and the matrix alone n^2 memory
+# the most link components a presentation may have; the matrix alone costs
+# n^2 memory, and the Smith form of a dense n x n block about n^3, while a
+# chain, such as a lens space's, costs the elimination O(n)
 MAX_COMPONENTS = 1000
 
 

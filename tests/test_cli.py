@@ -504,9 +504,12 @@ class TestOneAnalysisPerDocument:
         # the blocks are {0, 3}, {1}, {2}, {4, 5} and {6}, with k = 2, 1,
         # 1, 2 and 0
         blocks = [[[2, 2], [2, 0]], [[4]], [[-2]], [[6, 2], [2, 8]], [[3]]]
-        assert [[row[:n] for row in a[:m]] for a, m, n in eliminations] == (
-            blocks)
-        assert [(len(a), len(a[0]), m, n) for a, m, n in eliminations] == [
+        assert [[[row.get(j, 0) for j in range(n)] for row in rows]
+                for rows, _, n, _ in eliminations] == blocks
+        # (rows of b and of V, columns of b and of the border, m, n)
+        assert [(len(rows) + len(columns), n + len(border and border[0]),
+                 len(rows), n)
+                for rows, border, n, columns in eliminations] == [
             (4, 4, 2, 2), (2, 2, 1, 1), (2, 2, 1, 1), (4, 4, 2, 2),
             (1, 1, 1, 1)]
         assert [m for (m,) in kernels] == [

@@ -41,10 +41,10 @@ def wrong_decomposition(monkeypatch, v):
     but with V = [[v]]."""
     original = exactlinalg.eliminate
 
-    def wrong(a, m, n):
-        a = original(a, m, n)
-        a[m:] = [[v]]
-        return a
+    def wrong(rows, border, n, columns):
+        diagonal = original(rows, border, n, columns)
+        columns[:] = [{0: v}]
+        return diagonal
 
     monkeypatch.setattr(exactlinalg, "eliminate", wrong)
 
@@ -71,12 +71,13 @@ def wrong_diagonal(monkeypatch, block, d):
     the rows block, bordered or not."""
     original = exactlinalg.eliminate
 
-    def wrong(a, m, n):
-        is_block = [row[:n] for row in a[:m]] == block
-        a = original(a, m, n)
+    def wrong(rows, border, n, columns):
+        is_block = [[row.get(j, 0) for j in range(n)] for row in rows
+                    ] == block
+        diagonal = original(rows, border, n, columns)
         if is_block:
-            a[0][0] = d
-        return a
+            diagonal[0] = d
+        return diagonal
 
     monkeypatch.setattr(exactlinalg, "eliminate", wrong)
 
