@@ -23,7 +23,13 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major.
+
+    `sparse_rows`, made at construction, is the one place the nonzero
+    entries are found: a dict per row from column to entry, in ascending
+    column order, read by every structural pass, so a lens chain costs
+    those passes its nonzeros.  It is shared, so read-only: `eliminate`
+    only ever gets dict.copy copies."""
 
     rows: int
     cols: int
@@ -41,6 +47,11 @@ class IntMatrix:
                 raise DimensionError(
                     f"ragged row: expected {self.cols} entries, got {len(r)}"
                 )
+        # a tuple, so that compress makes no int for a skipped column
+        columns = tuple(range(self.cols))
+        object.__setattr__(self, "sparse_rows", tuple(
+            {j: row[j] for j in compress(columns, row)}
+            for row in self.entries))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -64,16 +75,11 @@ class IntMatrix:
     @cached_property
     def is_symmetric(self) -> bool:
         # kept on the matrix, so that every check of one matrix after the
-        # first, such as a presentation's and then its analysis's, is free
-        return self.is_square and tuple(zip(*self.entries)) == self.entries
-
-    @cached_property
-    def _sparse_rows(self):
-        """(columns, values) of the nonzero entries of each row."""
-        # a tuple, so that compress makes no int for a skipped column
-        columns = tuple(range(self.cols))
-        return tuple((tuple(compress(columns, row)), tuple(compress(row, row)))
-                     for row in self.entries)
+        # first, such as a presentation's and then its analysis's, is free;
+        # a zero whose mirror is not is caught at that mirror
+        return self.is_square and all(
+            self.entries[j][i] == e
+            for i, row in enumerate(self.sparse_rows) for j, e in row.items())
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(
@@ -99,11 +105,9 @@ class IntMatrix:
             raise DimensionError(
                 f"vector length {len(vec)} != column count {self.cols}"
             )
-        # a sum over the nonzero entries of each row, so a sparse matrix,
-        # such as the chain of a lens space, costs its nonzeros, not n^2
         mul, at = operator.mul, vec.__getitem__
-        return tuple(sum(map(mul, values, map(at, columns)))
-                     for columns, values in self._sparse_rows)
+        return tuple(sum(map(mul, row.values(), map(at, row)))
+                     for row in self.sparse_rows)
 
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(
@@ -323,17 +327,13 @@ def _subtract(row: dict[int, int], holders: list[set[int]], i: int, pairs,
 
 
 def bordered(b: IntMatrix, ys):
-    """`eliminate` of b bordered by the columns ys on the right and, when
-    there are any, by I_n below: (diagonal of S, rows of U Y, columns of
-    V), with U b V = S, and neither rows nor columns when ys is empty."""
-    if not ys:
-        rows = [{j: e for j, e in enumerate(row) if e} for row in b.entries]
-        return eliminate(rows, [], b.cols, []), [], []
-    # the checks of a bordered block read b._sparse_rows, so it is made once
-    rows = [dict(zip(*row)) for row in b._sparse_rows]
+    """`eliminate` of copies of the rows of b.sparse_rows bordered by the
+    columns ys on the right and, when there are any, by I_n below: (diagonal
+    of S, rows of U Y, columns of V), with U b V = S; [] for both if no ys."""
     border = list(map(list, zip(*ys)))
-    columns = [{j: 1} for j in range(b.cols)]
-    return eliminate(rows, border, b.cols, columns), border, columns
+    columns = [{j: 1} for j in range(b.cols)] if ys else []
+    return (eliminate(list(map(dict.copy, b.sparse_rows)), border, b.cols,
+                      columns), border, columns)
 
 
 def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
@@ -342,8 +342,8 @@ def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
     m, n = b.rows, b.cols
     border = [[int(i == j) for j in range(m)] for i in range(m)]
     columns = [{j: 1} for j in range(n)]
-    diagonal = eliminate([dict(zip(*row)) for row in b._sparse_rows], border,
-                         n, columns)
+    diagonal = eliminate(list(map(dict.copy, b.sparse_rows)), border, n,
+                         columns)
     return SmithDecomposition(
         u=IntMatrix(m, m, tuple(map(tuple, border))),
         s=IntMatrix(m, n, tuple(tuple(d if j == i else 0 for j in range(n))
@@ -406,8 +406,8 @@ def diagonal_cokernel(diagonal) -> AbelianGroup:
 
 def connected_blocks(b: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """The connected blocks of a square matrix b: i and j share a block
-    when b[i][j] != 0, and a block holds whatever that joins.  So b is
-    block-diagonal on them, up to a permutation.
+    when b[i][j] is in b.sparse_rows, and a block holds whatever that
+    joins.  So b is block-diagonal on them, up to a permutation.
 
     Each block lists its indices in ascending order; blocks come in the
     order of their least index.  A zero row is a block of its own.
@@ -421,9 +421,8 @@ def connected_blocks(b: IntMatrix) -> tuple[tuple[int, ...], ...]:
             parent[i] = i = parent[parent[i]]
         return i
 
-    columns = range(b.cols)
-    for i, row in enumerate(b.entries):
-        for j in compress(columns, row):
+    for i, row in enumerate(b.sparse_rows):
+        for j in row:
             ri, rj = root(i), root(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
@@ -558,11 +557,10 @@ class GF2Matrix:
 
     @classmethod
     def from_int_matrix(cls, b: IntMatrix) -> "GF2Matrix":
-        # only the nonzero entries of a row are looked at one by one
-        columns = range(b.cols)
+        # the odd entries of each row of b.sparse_rows
         return cls(b.rows, b.cols, tuple(
-            sum(1 << j for j in compress(columns, row) if row[j] & 1)
-            for row in b.entries))
+            sum(1 << j for j, e in row.items() if e & 1)
+            for row in b.sparse_rows))
 
 
 def gf2_kernel_basis(bbar: GF2Matrix) -> list[GF2Vector]:

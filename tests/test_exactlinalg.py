@@ -171,6 +171,41 @@ class TestProducts:
                 b.mul_vec(x + [1])
 
 
+class TestSymmetry:
+    """`is_symmetric`, which compares each nonzero entry of `sparse_rows`
+    with its mirror, against the transpose it replaced."""
+
+    @staticmethod
+    def transpose_oracle(b):
+        return b.rows == b.cols and tuple(zip(*b.entries)) == b.entries
+
+    def test_matches_the_transpose(self):
+        rng = random.Random(20261020)
+        cases = [
+            IntMatrix(0, 0, ()), mat([[0]]), mat([[-7]]),
+            mat([[1, 0, 2], [0, 1, 0], [0, 0, 1]]),  # a nonzero facing a 0
+            mat([[0, 0, 0], [0, 0, 0], [5, 0, 0]]),
+            mat([[1, 3], [4, 1]]),                   # unequal nonzero mirrors
+            mat([[1, 2, 3]]), mat([[1], [2]]),       # not square
+            IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())),
+        ]
+        for _ in range(400):
+            n = rng.randint(0, 7)
+            rows = [[0] * n for _ in range(n)]
+            density = rng.random()
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < density:
+                        rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+            if n > 1 and rng.random() < 0.6:
+                i, j = rng.sample(range(n), 2)
+                rows[i][j] = rng.choice((0, rng.randint(-9, 9)))
+            cases.append(mat(rows))
+        for b in cases:
+            assert b.is_symmetric == self.transpose_oracle(b), b
+        assert sum(b.is_symmetric for b in cases) not in (0, len(cases))
+
+
 class TestGF2:
     def test_kernel_examples(self):
         assert [v.to_bits() for v in gf2_kernel_basis(

@@ -17,9 +17,13 @@ from z2index.exactlinalg import (
     GF2Matrix,
     IntMatrix,
     bordered,
+    cokernel_structure,
     eliminate,
     gf2_kernel_basis,
+    smith_normal_form,
+    solve_integral,
 )
+from z2index.homology import torsion_linking
 from z2index.surgery import connected_sum, lens_presentation
 
 
@@ -106,6 +110,37 @@ def test_bordered_gives_the_oracle_transforms():
     assert border == [row[b.cols:] for row in dense[:b.rows]]
     assert [[column.get(r, 0) for column in columns]
             for r in range(b.cols)] == dense[b.rows:]
+
+
+def test_passes_leave_the_shared_view_unchanged():
+    """`IntMatrix.sparse_rows` is made once and read by every pass over the
+    matrix, and `eliminate` works on its rows in place: after each pass the
+    view must still be the nonzero entries of b.entries, in column order,
+    and `mul_vec`, which reads it, must still give the dense product."""
+    b = connected_sum(lens_presentation(12, 5), lens_presentation(8, 3),
+                      lens_presentation(7, 2)).matrix
+    rng = random.Random(20261020)
+    a, c = ([rng.randint(-3, 3) for _ in range(b.rows)] for _ in range(2))
+
+    def assert_intact(m):
+        assert [list(row.items()) for row in m.sparse_rows] == [
+            [(j, e) for j, e in enumerate(row) if e] for row in m.entries]
+        x = [rng.randint(-9, 9) for _ in range(m.cols)]
+        assert m.mul_vec(x) == tuple(
+            sum(e * xi for e, xi in zip(row, x)) for row in m.entries)
+
+    assert_intact(b)
+    for run in (lambda: bordered(b, ()), lambda: bordered(b, [a, c]),
+                lambda: smith_normal_form(b), lambda: cokernel_structure(b),
+                lambda: solve_integral(b, a),
+                lambda: torsion_linking(b, a, c)):
+        run()
+        assert_intact(b)
+    analysis = Analysis.of(b)
+    assert analysis.classify_all().reports
+    assert len(analysis.blocks) == 3
+    for m in (b, *(block.b for block in analysis.blocks)):
+        assert_intact(m)
 
 
 def test_gf2_kernel_matches_the_column_sweep():

@@ -84,6 +84,10 @@ class TestValidation:
         b = mat([[0, 1, 7], [1, 0, 5], [0, 4, 0]])
         with pytest.raises(PresentationError, match=r"at \(0,2\)$"):
             SurgeryPresentation(b)
+        # a nonzero entry facing a 0, the first in row-major order
+        b = mat([[1, 0, 2], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(PresentationError, match=r"at \(0,2\)$"):
+            SurgeryPresentation(b)
 
     @given(presentations(max_components=4), st.data())
     @settings(max_examples=60, deadline=None)
