@@ -77,6 +77,18 @@ class ClassEntry(dict):
     __slots__ = ()
 
 
+class MatrixRows(list):
+    """The "matrix" of a report: the rows of `matrix` as lists, for
+    `json.dumps`, `==` and `str`, and `matrix`, whose entries are exact
+    `int`s, from whose sparse rows `render_json` writes it."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: IntMatrix):
+        super().__init__(matrix.to_lists())
+        self.matrix = matrix
+
+
 def _class_doc(report: IndexReport) -> ClassEntry:
     # the report's own tuples and shared constants, not copies: JSON writes
     # a tuple as a list, and each copy is one more object the cyclic garbage
@@ -107,11 +119,11 @@ def build_report(pres: SurgeryPresentation, result: ClassificationResult,
     check_printable(max(homology.invariant_factors, default=0),
                     "an invariant factor of H_1")
     k = len(analysis.basis)
-    doc = {
+    return {
         "schema": 1,
         "version": __version__,
         "label": pres.label,
-        "matrix": b.to_lists(),
+        "matrix": MatrixRows(b),
         "homology": {
             "invariant_factors": list(homology.invariant_factors),
             "free_rank": homology.free_rank,
@@ -123,7 +135,6 @@ def build_report(pres: SurgeryPresentation, result: ClassificationResult,
         "note": result.note,
         "warnings": list(warnings),
     }
-    return doc
 
 
 def render_text(doc: dict, out) -> None:
@@ -161,15 +172,15 @@ def render_json(value, pad: str = "\n") -> str:
 
     With `indent` set, the stdlib encoder takes its pure-Python path and
     makes one generator step and one small string per item.  Here every
-    container is one `join`, and a list of exact `int`s (no `bool`) joins
-    their `repr`, which for an exact `int` is `int.__repr__`, the form the
-    stdlib writes.  A `ClassEntry`, one per class of a report, is written
-    by one template that looks at no value's type: its lists are tuples of
-    exact `int`s, its `self_linking` is None or a string, and its `class`
-    is its `lift`, so that tuple is written once for both keys.  Keys
-    must be strings: any other key raises TypeError, where `json.dumps`
-    would write an `int`, `float`, `bool` or `None` key as a string.  `pad`
-    is the newline and indentation of the line that holds `value`.
+    container is one `join`, and a `MatrixRows` is written from the sparse
+    rows of its matrix.  A `ClassEntry`, one per class of a report, is
+    written by one template that looks at no value's type: its lists are
+    tuples of exact `int`s, its `self_linking` is None or a string, and
+    its `class` is its `lift`, so that tuple is written once for both
+    keys.  Keys must be strings: any other key raises TypeError, where
+    `json.dumps` would write an `int`, `float`, `bool` or `None` key as a
+    string.  `pad` is the newline and indentation of the line that holds
+    `value`.
     """
     t = type(value)
     if t is str:
@@ -186,10 +197,19 @@ def render_json(value, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:
-            items = map(repr, value)
-        else:
+        if t is not MatrixRows or not value.matrix.cols:
             items = [render_json(v, inner) for v in value]
+        else:
+            # each row cut from the text of a zero row, its nonzeros put in
+            cell, width = "," + inner + "  ", len(inner) + 4
+            zeros, items = (cell + "0") * value.matrix.cols, []
+            for row in value.matrix.sparse_rows:
+                text, at = [], 0
+                for j in sorted(row):
+                    text += zeros[at:j * width], cell, repr(row[j])
+                    at = j * width + width
+                text.append(zeros[at:])
+                items.append(f"[{''.join(text)[1:]}{inner}]")
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
     if isinstance(value, dict):
         if t is ClassEntry:

@@ -25,11 +25,11 @@ class InvariantViolation(RuntimeError):
 class IntMatrix:
     """Immutable integer matrix, row-major.
 
-    `sparse_rows`, made at construction, is the one place the nonzero
-    entries are found: a dict per row from column to entry, in ascending
-    column order, read by every structural pass, so a lens chain costs
-    those passes its nonzeros.  It is shared, so read-only: `eliminate`
-    only ever gets dict.copy copies."""
+    `sparse_rows`, made at construction or given to `from_sparse`, is the
+    one place the nonzero entries are found: a dict per row from column to
+    entry, read by every structural pass.  It is shared, so read-only:
+    `eliminate` only ever gets copies.  `from_sparse` leaves `entries` to
+    their first use, so a lens chain costs its nonzeros until then."""
 
     rows: int
     cols: int
@@ -54,19 +54,30 @@ class IntMatrix:
             for row in self.entries))
 
     @classmethod
+    def from_sparse(cls, rows: int, cols: int, sparse_rows,
+                    symmetric: bool | None = None) -> "IntMatrix":
+        """The matrix with the rows sparse_rows, dicts from column to
+        nonzero entry, taken unchecked, as is symmetric when given."""
+        b = object.__new__(cls)
+        b.__dict__.update(rows=rows, cols=cols, sparse_rows=tuple(sparse_rows))
+        if symmetric is not None:
+            b.__dict__["is_symmetric"] = symmetric
+        return b
+
+    def __getattr__(self, name):
+        if name != "entries":  # only a matrix from `from_sparse` lacks them
+            raise AttributeError(f"IntMatrix has no attribute {name!r}")
+        return vars(self).setdefault(name, tuple(map(tuple, self.to_lists())))
+
+    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         entries = tuple(tuple(int(e) for e in r) for r in rows)
-        nrows = len(entries)
-        ncols = len(entries[0]) if entries else 0
-        return cls(nrows, ncols, entries)
+        return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
     @classmethod
     def diagonal(cls, diag) -> "IntMatrix":
-        diag = [int(d) for d in diag]
-        n = len(diag)
-        return cls(n, n, tuple(
-            tuple(diag[i] if i == j else 0 for j in range(n)) for i in range(n)
-        ))
+        rows = [{i: d} if d else {} for i, d in enumerate(map(int, diag))]
+        return cls.from_sparse(len(rows), len(rows), rows)
 
     @property
     def is_square(self) -> bool:
@@ -74,11 +85,10 @@ class IntMatrix:
 
     @cached_property
     def is_symmetric(self) -> bool:
-        # kept on the matrix, so that every check of one matrix after the
-        # first, such as a presentation's and then its analysis's, is free;
-        # a zero whose mirror is not is caught at that mirror
+        # kept, so that every check of a matrix after the first is free; a
+        # zero whose mirror is not is caught at that mirror
         return self.is_square and all(
-            self.entries[j][i] == e
+            self.sparse_rows[j].get(i) == e
             for i, row in enumerate(self.sparse_rows) for j, e in row.items())
 
     def transpose(self) -> "IntMatrix":
@@ -109,13 +119,14 @@ class IntMatrix:
         return tuple(sum(map(mul, row.values(), map(at, row)))
                      for row in self.sparse_rows)
 
-    def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(
-            self.entries[i][i] for i in range(min(self.rows, self.cols))
-        )
-
     def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
+        """The rows as lists, spliced from the sparse rows."""
+        zero, rows = [0] * self.cols, []
+        for row in self.sparse_rows:
+            rows.append(dense := zero.copy())
+            for j, e in row.items():
+                dense[j] = e
+        return rows
 
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -155,8 +166,7 @@ class SmithDecomposition:
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
         """The diagonal of s, padded with zeros to one entry per row."""
-        d = self.s.diagonal_entries()
-        return d + (0,) * (self.s.rows - len(d))
+        return tuple(row.get(i, 0) for i, row in enumerate(self.s.sparse_rows))
 
     def cokernel(self) -> "AbelianGroup":
         """Z^m / im(b) for the square matrix b that this decomposes."""
@@ -167,13 +177,12 @@ class SmithDecomposition:
             return False
         if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
             return False
-        d = self.s.diagonal_entries()
+        d = self.diagonal
         # a divisor chain of entries >= 0, zeros last, and nothing off it
         if any(x < 0 for x in d) or any(
                 c % a if a else c for a, c in zip(d, d[1:])):
             return False
-        return not any(e for i, row in enumerate(self.s.entries)
-                       for j, e in enumerate(row) if i != j)
+        return all(set(row) <= {i} for i, row in enumerate(self.s.sparse_rows))
 
 
 @dataclass(frozen=True)
@@ -433,14 +442,15 @@ def connected_blocks(b: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def principal_submatrix(b: IntMatrix, index) -> IntMatrix:
-    """The rows and columns of b at the indices in index, in that order;
-    b itself, not a copy, when index is every index of b in order."""
+    """The rows and columns of b at the distinct indices in index, in that
+    order; b itself, not a copy, when index is every index of b in order."""
     index = tuple(index)
     if index == tuple(range(b.rows)) and b.is_square:
         return b
-    rows = b.entries
-    return IntMatrix(len(index), len(index), tuple(
-        tuple(rows[i][j] for j in index) for i in index))
+    at = {j: pos for pos, j in enumerate(index)}
+    return IntMatrix.from_sparse(len(index), len(index), (
+        {at[j]: e for j, e in b.sparse_rows[i].items() if j in at}
+        for i in index))
 
 
 def cokernel_structure(b: IntMatrix) -> AbelianGroup:

@@ -21,9 +21,8 @@ class PresentationError(ValueError):
     """Invalid surgery presentation input."""
 
 
-# the most link components a presentation may have; the matrix alone costs
-# n^2 memory, and the Smith form of a dense n x n block about n^3, while a
-# chain, such as a lens space's, costs the elimination O(n)
+# the most link components a presentation may have; a dense matrix costs
+# n^2 memory and its Smith form n^3, a chain O(n) where no dense row is read
 MAX_COMPONENTS = 1000
 
 
@@ -88,14 +87,6 @@ def lens_presentation(p: int, q: int) -> SurgeryPresentation:
             "gcd(p, q) = 1"
         )
     coeffs = negative_continued_fraction(p, q)
-    n = len(coeffs)
-    rows = []
-    for i, a in enumerate(coeffs):
-        # the band 1, -a_i, 1 in a row padded by one column on each side
-        row = [0] * (n + 2)
-        row[i:i + 3] = 1, -a, 1
-        rows.append(tuple(row[1:-1]))
-    pres = SurgeryPresentation(IntMatrix(n, n, tuple(rows)), f"L({p},{q})")
     # |det| of the chain by the continuant recurrence for tridiagonal
     # matrices: d_k = a_k d_{k-1} - d_{k-2}
     d_prev, d = 1, coeffs[0]
@@ -105,7 +96,11 @@ def lens_presentation(p: int, q: int) -> SurgeryPresentation:
         raise InvariantViolation(
             f"chain for L({p},{q}) has determinant {d}, not {p}"
         )
-    return pres
+    # the band 1, -a_i, 1 of each row i, cut to the columns of the chain
+    rows = [{i - 1: 1, i: -a, i + 1: 1} for i, a in enumerate(coeffs)]
+    del rows[0][-1], rows[-1][len(rows)]
+    b = IntMatrix.from_sparse(len(rows), len(rows), rows, True)
+    return SurgeryPresentation(b, f"L({p},{q})")
 
 
 def empty_presentation(label: str | None = "S^3") -> SurgeryPresentation:
@@ -120,11 +115,11 @@ def _block_diagonal(matrices) -> IntMatrix:
     rows = []
     before = 0
     for b in matrices:
-        # each row of b between zeros for the components of the other parts
-        left, right = (0,) * before, (0,) * (n - before - b.rows)
-        rows += [left + row + right for row in b.entries]
+        rows += ({j + before: e for j, e in row.items()}
+                 for row in b.sparse_rows)
         before += b.rows
-    return IntMatrix(n, n, tuple(rows))
+    return IntMatrix.from_sparse(n, n, rows,
+                                 all(b.is_symmetric for b in matrices))
 
 
 def _sum_label(labels) -> str | None:

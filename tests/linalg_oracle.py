@@ -1,4 +1,4 @@
-"""The dense elimination routines that the sparse ones in `exactlinalg`
+"""The dense routines that the sparse ones in `exactlinalg` and `surgery`
 replaced, kept as small-n oracles for the differential tests.
 
 `eliminate` works on rows as lists: each round swaps a row and a column
@@ -6,7 +6,9 @@ physically, scans every row for the pivot column and runs each column
 operation over every row.  `gf2_kernel_basis` sweeps every row for every
 column.  Both cost O(n^2) on a lens chain, which is why they are no longer
 the program's, but their results are the reference: the sparse routines
-must give the same U, S and V and the same basis.
+must give the same U, S and V and the same basis.  `principal_submatrix`
+and `block_diagonal` cut and join matrices entry by entry, through the dense
+constructor, where the program now cuts and joins the sparse rows.
 """
 
 import operator
@@ -116,3 +118,22 @@ def gf2_kernel_basis(bbar: GF2Matrix) -> list[GF2Vector]:
                 bits |= 1 << c
         basis.append(GF2Vector(n, bits))
     return basis
+
+
+def principal_submatrix(b: IntMatrix, index) -> IntMatrix:
+    """The rows and columns of b at index, in that order, read from the
+    dense rows."""
+    return IntMatrix(len(index), len(index), tuple(
+        tuple(b.entries[i][j] for j in index) for i in index))
+
+
+def block_diagonal(matrices) -> IntMatrix:
+    """The square matrices joined block-diagonally, each dense row padded
+    with zeros for the components of the other parts."""
+    n = sum(b.rows for b in matrices)
+    rows, before = [], 0
+    for b in matrices:
+        left, right = (0,) * before, (0,) * (n - before - b.rows)
+        rows += [left + row + right for row in b.entries]
+        before += b.rows
+    return IntMatrix(n, n, tuple(rows))
