@@ -40,15 +40,23 @@ entry of B, so that a split cannot lose kernel vectors.  Nothing is kept
 from one presentation to the next.
 
 A class is then its lift X, the tuple of its bits, with its mask over the
-basis: `kernel_span` hands on the pair, and the report keeps the lift, so
-no vector object is built for a class.  It costs one B X, the sum of the
-rows of B at the support of X, which gives the reported Y and
-X . Y = (1/2) X^T B X, plus a few popcounts: its verdict is the parity
-of the basis masks and the reduction of its mask against K1.  The class
-checks that B X is even, so that a block matrix that adds kernel vectors
-shows, that the trichotomy holds, and that the linearly extended triple
-cup and self-linking equal its own X . Y mod 2, which keeps the
-cross-check off the path of the verdict it checks.
+basis; `lex_span` lists the classes in the integer order of their bits
+reversed, which is the lexicographic order of the lifts, and the report
+keeps the lift, so no vector object is built for a class.  One sweep over
+the listing sums each B X, which gives the reported Y and
+X . Y = (1/2) X^T B X, from the sparse rows of B: a stack holds, at set
+bits of the last lift, the sum of its rows up to that bit, and the next
+lift, which first differs from it at the top bit of the XOR of their
+words, keeps the entries above that bit and adds its own rows from there
+on, one row per class on an all-even block.  A set bit gets an entry
+only when a later lift can branch below it and above the next set bit,
+so that a long lift is not copied at each bit.  The verdict is then a
+few popcounts: the parity of the basis masks and the reduction of the
+mask against K1.  The class checks that B X is even, so that a block
+matrix that adds kernel vectors shows, that the trichotomy holds, and
+that the linearly extended triple cup and self-linking equal its own
+X . Y mod 2, which keeps the cross-check off the path of the verdict it
+checks.
 """
 
 from __future__ import annotations
@@ -74,8 +82,9 @@ from .exactlinalg import (
     gf2_kernel_basis,
     is_in_integral_image,
     principal_submatrix,
+    word_bits,
 )
-from .homology import CoverClass, QmodZ, kernel_span
+from .homology import CoverClass, QmodZ, lex_span, lex_word
 
 _ZERO = QmodZ(Fraction(0))
 _HALF = QmodZ(Fraction(1, 2))
@@ -134,14 +143,6 @@ def triple_cup(b: IntMatrix, lift) -> int:
 
 def _dot(u, v) -> int:
     return sum(map(operator.mul, u, v))
-
-
-def _row_sum(b: IntMatrix, lift) -> tuple[int, ...]:
-    """The sum of the rows of b at the support of the 0/1 vector X, which
-    is B X for a symmetric b; zeros for the empty support."""
-    # dense rows: once per class on a dense all-even block, a C-level zip
-    # over whole rows beats a Python loop over the nonzeros of b.sparse_rows
-    return tuple(map(sum, zip(*compress(b.entries, lift)))) or (0,) * b.cols
 
 
 def _nonzero_count(b: IntMatrix) -> int:
@@ -332,46 +333,56 @@ class Analysis:
             mask |= half << i
         return mask
 
-    def _report(self, mask: int, lift: tuple[int, ...],
-                crosscheck: bool) -> IndexReport:
-        """Classify the class with bits lift, which is the sum of the basis
-        classes in mask, from the basis masks and one B X."""
-        # b is symmetric, which `of` checked, so its rows are its columns
-        w = _row_sum(self.b, lift)
-        if any(map((1).__and__, w)):
-            raise InvariantViolation(
-                f"B X is odd for the mod-2 kernel class {list(lift)}")
-        y = tuple(map((1).__rrshift__, w))  # e >> 1, which is e // 2
-        # X . Y = (1/2) X^T B X, computed from this class alone
-        direct = sum(compress(y, lift)) & 1
-        cup = _parity(mask & self.cup_mask)
-        if cup != direct:
-            raise InvariantViolation(
-                f"triple cup {cup} from the basis != (1/2) X^T B X mod 2 = "
-                f"{direct} for class {list(lift)}"
-            )
-        vanishes = _reduce(mask, self._kernel_echelon) == 0
-        if cup == 1 and vanishes:
-            raise InvariantViolation(
-                "triple cup nonzero but Bockstein vanishes: trichotomy broken"
-            )
-        self_linking = None
-        if crosscheck:
-            if _parity(mask & self.linking_mask) != direct:
+    def _sweep(self, words, masks, crosscheck: bool) -> list[IndexReport]:
+        """Classify the classes of ascending `lex_word`s words and masks
+        over the basis from the masks and each B X, which the sweep of the
+        module notes sums from the rows of b, its columns."""
+        n, rows, reports = self.b.rows, self.b.sparse_rows, []
+        cups, echelon = self.cup_mask, self._kernel_echelon
+        links = self.linking_mask if crosscheck else 0
+        branch = 0  # the bits at which two consecutive words first differ
+        for a, b in zip(words, words[1:]):
+            branch |= 1 << (a ^ b).bit_length() >> 1
+        stack, last = [], 0
+        for word, mask in zip(words, masks):
+            top = (word ^ last).bit_length()
+            while stack and stack[-1][0] < top:
+                stack.pop()
+            w = stack[-1][1].copy() if stack else [0] * n
+            rest, last = word & (1 << top) - 1, word
+            while rest:
+                top = rest.bit_length()
+                rest ^= 1 << top - 1
+                for j, e in rows[n - top].items():
+                    w[j] += e
+                # a later lift can branch below this bit, above the next
+                if (branch & (1 << top - 1) - 1) >> rest.bit_length():
+                    stack.append((top, w.copy()))
+            lift = word_bits(word, n)[::-1]
+            if any(map((1).__and__, w)):
+                raise InvariantViolation(
+                    f"B X is odd for the mod-2 kernel class {list(lift)}")
+            y = tuple(map((1).__rrshift__, w))  # e >> 1, which is e // 2
+            # X . Y = (1/2) X^T B X, computed from this class alone
+            direct = sum(compress(y, lift)) & 1
+            cup = _parity(mask & cups)
+            if cup != direct:
+                raise InvariantViolation(
+                    f"triple cup {cup} from the basis != (1/2) X^T B X mod 2"
+                    f" = {direct} for class {list(lift)}")
+            vanishes = _reduce(mask, echelon) == 0
+            if cup == 1 and vanishes:
+                raise InvariantViolation("triple cup nonzero but Bockstein "
+                                         "vanishes: trichotomy broken")
+            if crosscheck and _parity(mask & links) != direct:
                 raise InvariantViolation(
                     f"self-linking from the basis != quarter-form value "
-                    f"{direct}/2 for class {list(lift)}"
-                )
-            self_linking = _HALF if direct else _ZERO
-        index = 3 if cup == 1 else (1 if vanishes else 2)
-        return IndexReport(
-            lift=lift,
-            bockstein_rep=y,
-            beta_vanishes=vanishes,
-            triple_cup=cup,
-            self_linking=self_linking,
-            index=index,
-        )
+                    f"{direct}/2 for class {list(lift)}")
+            reports.append(IndexReport(
+                lift, y, vanishes, cup,
+                (_HALF if direct else _ZERO) if crosscheck else None,
+                3 if cup == 1 else 1 if vanishes else 2))
+        return reports
 
     def classify(self, x: CoverClass, *, crosscheck: bool = True) -> IndexReport:
         """Classify one double-cover class of the presentation."""
@@ -389,7 +400,7 @@ class Analysis:
         if span != v.bits:
             raise ValueError("class is not in the mod-2 kernel of the "
                              "linking matrix")
-        return self._report(mask, x.bits(), crosscheck)
+        return self._sweep([lex_word(v)], [mask], crosscheck)[0]
 
     def classify_all(self, cap: int = 1024, *,
                      crosscheck: bool = True) -> ClassificationResult:
@@ -402,9 +413,8 @@ class Analysis:
                      "quotient data in this framework",
                 analysis=self,
             )
-        span, truncated = kernel_span(self.basis, cap)
-        reports = tuple(self._report(mask, lift, crosscheck)
-                        for lift, mask in span)
+        words, masks, truncated = lex_span(self.basis, cap)
+        reports = tuple(self._sweep(words, masks, crosscheck) if words else ())
         note = None
         if not reports:
             note = "no connected double cover"

@@ -71,8 +71,8 @@ _ZERO_TEXT, _HALF_TEXT = str(_ZERO), str(_HALF)
 
 class ClassEntry(dict):
     """The entry of one class in a report, as `_class_doc` builds it: eight
-    keys in that order, with `class` the same tuple as `lift`.
-    `render_json` writes it by one template."""
+    keys in that order, `class` the same tuple as `lift`, tuples of exact
+    `int`s and hashable values, which `_class_texts` writes."""
 
     __slots__ = ()
 
@@ -172,15 +172,12 @@ def render_json(value, pad: str = "\n") -> str:
 
     With `indent` set, the stdlib encoder takes its pure-Python path and
     makes one generator step and one small string per item.  Here every
-    container is one `join`, and a `MatrixRows` is written from the sparse
-    rows of its matrix.  A `ClassEntry`, one per class of a report, is
-    written by one template that looks at no value's type: its lists are
-    tuples of exact `int`s, its `self_linking` is None or a string, and
-    its `class` is its `lift`, so that tuple is written once for both
-    keys.  Keys must be strings: any other key raises TypeError, where
-    `json.dumps` would write an `int`, `float`, `bool` or `None` key as a
-    string.  `pad` is the newline and indentation of the line that holds
-    `value`.
+    container is one `join`, a `MatrixRows` is written from the sparse
+    rows of its matrix, and the `ClassEntry`s of a list, one per class of
+    a report, by `_class_texts`.  Keys must be strings: any other key
+    raises TypeError, where `json.dumps` would write an `int`, `float`,
+    `bool` or `None` key as a string.  `pad` is the newline and
+    indentation of the line that holds `value`.
     """
     t = type(value)
     if t is str:
@@ -197,7 +194,9 @@ def render_json(value, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if t is not MatrixRows or not value.matrix.cols:
+        if type(value[0]) is ClassEntry:
+            items = _class_texts(value, inner)
+        elif t is not MatrixRows or not value.matrix.cols:
             items = [render_json(v, inner) for v in value]
         else:
             # each row cut from the text of a zero row, its nonzeros put in
@@ -213,7 +212,7 @@ def render_json(value, pad: str = "\n") -> str:
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
     if isinstance(value, dict):
         if t is ClassEntry:
-            return _class_json(value, pad)
+            return _class_texts((value,), pad)[0]
         if not value:
             return "{}"
         items = [f"{_quote(k)}: {render_json(v, inner)}"
@@ -223,31 +222,33 @@ def render_json(value, pad: str = "\n") -> str:
     return json.dumps(value, ensure_ascii=False)
 
 
-def _int_list(items, pad: str) -> str:
-    """The exact `int`s items as a JSON list on the line with `pad`."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return f"[{inner}{(',' + inner).join(map(repr, items))}{pad}]"
-
-
-def _class_json(entry: ClassEntry, pad: str) -> str:
-    """The text of `render_json(entry, pad)`, by the template of a class."""
-    inner = pad + "  "
-    link = entry["self_linking"]
-    lift_text = _int_list(entry["lift"], inner)
-    return (
-        f'{{{inner}"class": {lift_text},'
-        f'{inner}"lift": {lift_text},'
-        f'{inner}"bockstein_rep": {_int_list(entry["bockstein_rep"], inner)},'
-        f'{inner}"beta_vanishes": '
-        f'{"true" if entry["beta_vanishes"] else "false"},'
-        f'{inner}"triple_cup": {entry["triple_cup"]!r},'
-        f'{inner}"self_linking": {"null" if link is None else _quote(link)},'
-        f'{inner}"index": {entry["index"]!r},'
-        f'{inner}"bu_holds_for": {_int_list(entry["bu_holds_for"], inner)}'
-        f'{pad}}}'
-    )
+def _class_texts(entries, pad: str) -> list[str]:
+    """The text of each of entries on the line with `pad`, that of a
+    `ClassEntry` by templates, with no type test: per pair of list
+    lengths, one of a `%d` per entry of `lift`, which is `class` too, and
+    one of the head, with `bockstein_rep`; and, by the generic writer once
+    per distinct verdict, of which a report has few, the text of the five
+    verdict fields.  All are made for this call only."""
+    inner, heads, tails, texts = pad + "  ", {}, {}, []
+    for entry in entries:
+        if type(entry) is not ClassEntry:
+            texts.append(render_json(entry, pad))
+            continue
+        _, lift, y, *verdict = entry.values()
+        if (head := heads.get(shape := (len(lift), len(y)))) is None:
+            lift_list, y_list = (
+                f"[{inner}  " + f",{inner}  ".join(["%d"] * m) + f"{inner}]"
+                if m else "[]" for m in shape)
+            head = heads[shape] = lift_list, (
+                f'{{{inner}"class": %s,{inner}"lift": %s,'
+                f'{inner}"bockstein_rep": {y_list}')
+        if (tail := tails.get(verdict := tuple(verdict))) is None:
+            tail = tails[verdict] = "".join(
+                f",{inner}{_quote(key)}: {render_json(value, inner)}"
+                for key, value in list(entry.items())[3:]) + pad + "}"
+        lift_text = head[0] % lift
+        texts.append(head[1] % (lift_text, lift_text, *y) + tail)
+    return texts
 
 
 def _emit(doc: dict, fmt: str, out) -> None:

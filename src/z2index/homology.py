@@ -99,22 +99,36 @@ def kernel_span(basis: Sequence[GF2Vector], cap: int = 1024) -> tuple[
     """The nonzero vectors spanned by a mod-2 kernel basis, each as the
     pair (lift, mask), in lexicographic order of lift: lift is the
     vector's tuple of bits, and bit i of mask is set when basis[i] is a
-    summand of it.  No vector object is built for a class.
+    summand of it.  The classes are sorted as the integers of `lex_span`,
+    not as tuples, and no vector object is built for a class.
 
     Returns (span, truncated).  Under the cap policy of cover_classes, past
     the cap only the basis vectors themselves are returned.
     """
+    words, masks, truncated = lex_span(basis, cap)
+    return [(word_bits(word, basis[0].length)[::-1], mask)
+            for word, mask in zip(words, masks)], truncated
+
+
+def lex_word(v: GF2Vector) -> int:
+    """The bits of v reversed, bit i at bit v.length - 1 - i, so that the
+    integer order of these words is the lexicographic order of the lifts."""
+    return int(bin(v.bits | 1 << v.length)[:2:-1], 2)
+
+
+def lex_span(basis: Sequence[GF2Vector], cap: int = 1024) -> tuple[
+        list[int], list[int], bool]:
+    """(words, masks, truncated): the `lex_word` and the mask of each class
+    of `kernel_span(basis, cap)`, in its order, sorted as integers."""
     k = len(basis)
-    width = basis[0].length if basis else 0
     truncated = k > 0 and 2 ** k - 1 > cap
     if truncated:
-        span = [(v.to_bits(), 1 << i) for i, v in enumerate(basis)]
+        table = {1 << i: lex_word(v) for i, v in enumerate(basis)}
+        masks = sorted(table, key=table.__getitem__)
     else:
-        words = xor_span([v.bits for v in basis])
-        span = [(word_bits(words[mask], width), mask)
-                for mask in range(1, 2 ** k)]
-    span.sort()
-    return span, truncated
+        table = xor_span(list(map(lex_word, basis)))
+        masks = sorted(range(1, len(table)), key=table.__getitem__)
+    return list(map(table.__getitem__, masks)), masks, truncated
 
 
 def xor_span(words: Sequence[int]) -> list[int]:

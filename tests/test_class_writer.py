@@ -96,6 +96,30 @@ def test_every_entry_has_the_eight_keys_and_class_is_lift():
             assert entry["class"] is entry["lift"]
 
 
+@pytest.mark.parametrize("pad", ["\n", "\n    ", "\n" + " " * 9])
+def test_one_listing_of_every_kind_of_entry_equals_stdlib(pad):
+    # the class templates are made per call, per pair of list lengths and
+    # per verdict: one listing with lifts of lengths 1 and 3, all three
+    # indices, each self-linking text and null, and Bockstein entries that
+    # are negative or past 2**64
+    entries = [c for rows, kwargs in CASES.values()
+               for c in report(rows, **kwargs)["classes"]]
+    assert {len(c["lift"]) for c in entries} == {1, 3}
+    assert {c["index"] for c in entries} == {1, 2, 3}
+    assert {c["self_linking"] for c in entries} == {None, "0", "1/2"}
+    ys = [e for c in entries for e in c["bockstein_rep"]]
+    assert min(ys) < 0 and max(ys) > 2 ** 64
+    text = render_json(entries, pad)
+    assert text == stdlib(entries).replace("\n", pad)
+    # each entry alone is written as it is inside the listing
+    inner = pad + "  "
+    assert text == f"[{inner}" + f",{inner}".join(
+        render_json(entry, inner) for entry in entries) + f"{pad}]"
+    # and a listing that holds other values too is written as a whole
+    mixed = [entries[0], dict(entries[1]), [1, [2]], entries[2], None]
+    assert render_json(mixed, pad) == stdlib(mixed).replace("\n", pad)
+
+
 def _string_key_span(basis, cap):
     """`kernel_span` as it was: (mask, vector) sorted by the bit string of
     the vector read from bit 0 up."""

@@ -6,8 +6,9 @@ against the dense routines they replaced.
 the sparse rows, and a connected sum joins its parts' sparse rows; the dense
 cut and join kept in `linalg_oracle` are the reference.  `render_json` writes
 the matrix of a report from its sparse rows; the oracle is the stdlib
-encoder on the dense rows.  Last, `lens 1001 1000 --format json` is built,
-analysed and written without the dense entries of any matrix.
+encoder on the dense rows.  Last, `lens 1001 1000`, `lens 1000 999` and a
+connected sum of even chains are built, analysed, classified and written as
+JSON without the dense entries of any matrix.
 """
 
 import io
@@ -172,13 +173,19 @@ def run(argv) -> str:
     return out.getvalue()
 
 
-def test_lens_report_reads_only_the_sparse_rows(monkeypatch):
-    """The chain of L(1001,1000) is built, analysed and written with no
-    dense constructor and no dense `entries`; and the writer reads only the
-    sparse rows, so the report's dense lists, kept for `json.dumps`, can be
-    anything.  So the path touches the 3n - 2 nonzeros, and n^2 entries
-    only in the copies of one zero row and its text."""
-    argv = ["lens", "1001", "1000", "--format", "json"]
+# a connected sum whose parts are all even lens chains: k = 3, 7 classes,
+# each lift spanning parts, summed across blocks by one sweep
+EVEN_SUM = json.dumps({"preset": "connected_sum", "parts": [
+    {"preset": "lens", "p": 12, "q": 5}, {"preset": "lens", "p": 40, "q": 11},
+    {"preset": "connected_sum", "parts": [
+        {"preset": "lens", "p": 6, "q": 1}]}]})
+
+
+def sparse_only_run(monkeypatch, argv) -> str:
+    """The output of `main(argv)`, checked to be the same when no matrix
+    may be made by the dense constructor or read its dense `entries`, and
+    the report's dense lists, kept for `json.dumps`, are junk, so that the
+    writer must read the sparse rows."""
     expected = run(argv)
     dense = []
     post_init, getattr_ = IntMatrix.__post_init__, IntMatrix.__getattr__
@@ -198,11 +205,46 @@ def test_lens_report_reads_only_the_sparse_rows(monkeypatch):
         doc["matrix"][:] = [[None]] * len(doc["matrix"])
         return doc
 
-    monkeypatch.setattr(IntMatrix, "__post_init__", constructed)
-    monkeypatch.setattr(IntMatrix, "__getattr__", read)
-    monkeypatch.setattr(cli, "build_report", junk_rows)
-    assert run(argv) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(IntMatrix, "__post_init__", constructed)
+        patch.setattr(IntMatrix, "__getattr__", read)
+        patch.setattr(cli, "build_report", junk_rows)
+        assert run(argv) == expected
     assert dense == []
+    return expected
+
+
+def test_lens_report_reads_only_the_sparse_rows(monkeypatch):
+    """The chain of L(1001,1000) is built, analysed and written with no
+    dense constructor and no dense `entries`.  So the path touches the
+    3n - 2 nonzeros, and n^2 entries only in the copies of one zero row and
+    its text."""
+    expected = sparse_only_run(
+        monkeypatch, ["lens", "1001", "1000", "--format", "json"])
     matrix = json.loads(expected)["matrix"]
     assert matrix == [[-2 if j == i else int(abs(i - j) == 1)
                        for j in range(1000)] for i in range(1000)]
+
+
+# a connected sum of even lens chains: k = 3, so 7 classes, most of whose
+# lifts span parts
+EVEN_SUM = json.dumps({"preset": "connected_sum", "parts": [
+    {"preset": "lens", "p": 12, "q": 5}, {"preset": "lens", "p": 40, "q": 11},
+    {"preset": "connected_sum", "parts": [
+        {"preset": "lens", "p": 6, "q": 1}]}]})
+
+
+@pytest.mark.parametrize("argv, k", [
+    (["lens", "1000", "999", "--format", "json"], 1),
+    (["analyze", "{sum}", "--format", "json"], 3),
+    (["analyze", "{sum}", "--format", "json", "--no-crosscheck"], 3),
+], ids=["even chain", "even sum", "even sum, no cross-check"])
+def test_classified_reports_read_only_the_sparse_rows(monkeypatch, tmp_path,
+                                                      argv, k):
+    """Classes too, with or without the cross-check, are classified with
+    no dense `entries`: their B X comes from the sparse rows."""
+    path = tmp_path / "sum.json"
+    path.write_text(EVEN_SUM)
+    argv = [str(path) if a == "{sum}" else a for a in argv]
+    report = json.loads(sparse_only_run(monkeypatch, argv))
+    assert report["k"] == k and len(report["classes"]) == 2 ** k - 1
