@@ -258,7 +258,7 @@ class Analysis:
     @cached_property
     def homology(self) -> AbelianGroup:
         """H_1 of the surgered manifold: the direct sum of the cokernels of
-        the blocks, from the diagonals of their Smith forms."""
+        the blocks, from the diagonals of their eliminations."""
         return diagonal_cokernel([
             d for diagonal, _, _ in self._eliminated for d in diagonal])
 

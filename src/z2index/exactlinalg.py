@@ -204,8 +204,9 @@ class AbelianGroup:
 
 def eliminate(rows: list[dict[int, int]], border: list[list[int]], n: int,
               columns: list[dict[int, int]]) -> list[int]:
-    """Bring an m x n integer block b to Smith normal form S = U b V, and
-    return the diagonal of S, one entry per row of b.
+    """Bring an m x n integer block b to a diagonal form S = U b V, and
+    return the diagonal of S, one entry per row of b, positive entries
+    first: not a divisor chain, which only `smith_normal_form` makes.
 
     rows holds the nonzero entries of each row of b, by column, and is
     worked on in place.  border, empty or one per row of b, holds the rows
@@ -220,10 +221,8 @@ def eliminate(rows: list[dict[int, int]], border: list[list[int]], n: int,
     position order and stopping at the first unit, moved there by one row
     and one column swap.  It reduces every row below and every column to
     its right; a remainder left in row t or column t starts a new search.
-    Once both are clear, a pivot other than +-1 that fails to divide a
-    trailing row takes that row into row t and searches again.  Re-picking
-    the least entry of the whole block keeps the entries of U and V small
-    on dense input.  Rows with a negative diagonal entry are negated last.
+    Re-picking the least entry of the whole block keeps the entries of U
+    and V small on dense input.  Rows of negative pivots are negated last.
 
     The swaps permute positions, applied to border and columns once at the
     end, and an index from each column to the rows holding it finds the
@@ -288,26 +287,8 @@ def eliminate(rows: list[dict[int, int]], border: list[list[int]], n: int,
                             column[r] -= q * e
                         elif e:
                             column[r] = -q * e
-        if len(below) > 1 or len(prow) > 1:
-            continue
-        if p != 1 and p != -1:
-            # the pivot must divide the trailing block, or the divisor
-            # chain fails later; add an offending row to row t, which is
-            # zero in its columns
-            for pos in range(t + 1, m):
-                off = order[pos]
-                if any(map(p.__rmod__, rows[off].values())):
-                    prow.update(rows[off])
-                    for k in rows[off]:
-                        holders[k].add(pr)
-                    if border:
-                        border[pr] = list(map(operator.add, border[pr],
-                                              border[off]))
-                    break
-            else:
-                t += 1
-            continue
-        t += 1
+        if len(below) == 1 and len(prow) == 1:
+            t += 1
     diagonal = [rows[order[pos]][cols[pos]] for pos in range(t)]
     if border:
         border[:] = map(border.__getitem__, order)
@@ -346,19 +327,38 @@ def bordered(b: IntMatrix, ys):
 
 
 def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms, u @ b @ v == s: b bordered by
-    I_m on the right and by I_n below.  Nothing is memoized."""
+    """Smith normal form with transforms, u @ b @ v == s, not memoized: the
+    diagonal form of `eliminate` of b bordered by I_m on the right and by
+    I_n below, made a divisor chain d_1 | d_2 | ... pair by pair.  Entries
+    a before c, a not dividing c, become g = gcd(a, c) = s a + t c before
+    ac/g (Cohen, Alg. 2.4.14): rows i and j of u take [[s, t], [-c/g, a/g]]
+    and columns i and j of v [[1, -t c/g], [1, s a/g]], both unimodular,
+    and a zero a before a nonzero c moves after it."""
     m, n = b.rows, b.cols
-    border = [[int(i == j) for j in range(m)] for i in range(m)]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
     columns = [{j: 1} for j in range(n)]
-    diagonal = eliminate(list(map(dict.copy, b.sparse_rows)), border, n,
-                         columns)
+    d = eliminate(list(map(dict.copy, b.sparse_rows)), u, n, columns)
+    v = [[column.get(r, 0) for r in range(n)] for column in columns]
+    for i in range(min(m, n)):
+        for j in range(i + 1, min(m, n)):
+            a, c = d[i], d[j]
+            if a == 1:
+                break
+            if c % a if a else c:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                s = pow(a, -1, c)
+                t = (1 - s * a) // c
+                u[i], u[j] = ([s * x + t * y for x, y in zip(u[i], u[j])],
+                              [a * y - c * x for x, y in zip(u[i], u[j])])
+                v[i], v[j] = ([x + y for x, y in zip(v[i], v[j])], [
+                    s * a * y - t * c * x for x, y in zip(v[i], v[j])])
+                d[i], d[j] = g, a * d[j]
     return SmithDecomposition(
-        u=IntMatrix(m, m, tuple(map(tuple, border))),
-        s=IntMatrix(m, n, tuple(tuple(d if j == i else 0 for j in range(n))
-                                for i, d in enumerate(diagonal))),
-        v=IntMatrix(n, n, tuple(tuple(column.get(r, 0) for column in columns)
-                                for r in range(n))),
+        u=IntMatrix(m, m, tuple(map(tuple, u))),
+        s=IntMatrix(m, n, tuple(tuple(e if j == i else 0 for j in range(n))
+                                for i, e in enumerate(d))),
+        v=IntMatrix(n, n, tuple(zip(*v))),
     )
 
 
@@ -387,7 +387,7 @@ def checked_solution(b: IntMatrix, y, eliminated, col: int):
     z = tuple(z)
     if b.mul_vec(z) != tuple(n * e for e in y):
         raise InvariantViolation(
-            "the Smith-form solution z does not solve b z = n y"
+            "the solution z = V c does not solve b z = n y"
         )
     return n, z
 
@@ -398,8 +398,8 @@ def diagonal_cokernel(diagonal) -> AbelianGroup:
     The entries need not form a divisor chain: zeros add to the free rank,
     units vanish, and one gcd/lcm sweep turns the rest into invariant
     factors, since Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b).  So the diagonals
-    of the Smith forms of the blocks of a block-diagonal matrix give its
-    cokernel.
+    that `eliminate` gives for the blocks of a block-diagonal matrix give
+    its cokernel.
     """
     factors = [abs(d) for d in diagonal if d not in (0, 1, -1)]
     for i in range(len(factors)):

@@ -256,7 +256,7 @@ def suite_linking_crosscheck(recorder: Recorder):
     """Every recorded classification satisfies the linking-form identity:
     self-linking = (1/4) X^T B X mod 1, lands in {0, 1/2}, is 1/2 exactly
     when the triple cup is nonzero, and equals torsion_linking(B, Y, Y),
-    taken with the Smith form of the whole of B rather than of a block."""
+    taken with one elimination of the whole of B rather than of a block."""
     if not recorder:
         return False, "nothing recorded"
     for b, report in recorder:

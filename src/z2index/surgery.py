@@ -22,7 +22,7 @@ class PresentationError(ValueError):
 
 
 # the most link components a presentation may have; a dense matrix costs
-# n^2 memory and its Smith form n^3, a chain O(n) where no dense row is read
+# n^2 memory and its elimination n^3, a chain O(n) where no dense row is read
 MAX_COMPONENTS = 1000
 
 

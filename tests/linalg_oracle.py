@@ -17,11 +17,11 @@ from z2index.exactlinalg import GF2Matrix, GF2Vector, IntMatrix
 
 
 def eliminate(a: list[list[int]], m: int, n: int) -> list[list[int]]:
-    """Bring the leading m x n block of the rows a to Smith normal form in
+    """Bring the leading m x n block of the rows a to a diagonal form in
     place, and return a.  Row operations act on whole rows and column
     operations on every row, so rows [b | C] over rows [D] end as
-    [U b V | U C] over [D V], with U b V = S, under the pivot policy that
-    `exactlinalg.eliminate` documents."""
+    [U b V | U C] over [D V], with U b V = S diagonal, under the pivot
+    policy that `exactlinalg.eliminate` documents: no divisor chain."""
     t = 0
     while t < min(m, n):
         best = None
@@ -57,14 +57,6 @@ def eliminate(a: list[list[int]], m: int, n: int) -> list[list[int]]:
                         r[j] -= q * rt
         if any(map(operator.itemgetter(t), a[t + 1:m])) or any(at[t + 1:n]):
             continue
-        if p not in (1, -1):
-            # the pivot must divide the trailing block, or the divisor
-            # chain fails later; add an offending row to row t
-            off = next((i for i in range(t + 1, m)
-                        if any(e % p for e in a[i][t + 1:n])), None)
-            if off is not None:
-                a[t] = [x + y for x, y in zip(at, a[off])]
-                continue
         t += 1
     for i in range(min(m, n)):
         if a[i][i] < 0:

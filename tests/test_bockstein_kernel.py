@@ -7,9 +7,9 @@ block; `is_in_integral_image(b, Y)` instead reduces Y = (1/2) B X through
 the transforms of the Smith form of the whole matrix.  These tests compare
 the two on every class of seeded random, all-even, singular, sparse and
 block-diagonal matrices with n <= 12, and pin sha256 digests, taken from
-the per-block Smith-form classifier that came before, of every report and
-of `smith_normal_form`'s (u, s, v) over a seeded dense, singular and lens
-corpus.
+the per-block Smith-form classifier that came before, of every report, and
+of `smith_normal_form`'s s and, apart, its (u, v) over a seeded dense,
+singular and lens corpus.
 """
 
 import hashlib
@@ -132,15 +132,22 @@ def snf_corpus():
                 yield lens_presentation(p, q).matrix
 
 
-SNF_DIGEST = (
-    "d746296b2d363d855840c70dd57e07279cf0a18b33f24ded08b23ee140fd4f01")
+# S is unique, so its digest holds under any pivot policy; U and V are not
+# unique, and their digest pins the policy and the pair steps of the chain
+S_DIGEST = (
+    "84f111581123b4c7904e77f0b9ab92f90f4a2bd092a34b83baabb42c5633c18b")
+UV_DIGEST = (
+    "b8bdbe6f78ab12fed0212198c9edfdaa2eb2ef88b5f1cdd02400fd6baefbf3cd")
 
 
 def test_smith_normal_form_output_is_pinned():
-    digest = hashlib.sha256()
+    s_digest, uv_digest = hashlib.sha256(), hashlib.sha256()
     for b in snf_corpus():
         dec = smith_normal_form(b)
-        digest.update(json.dumps(
-            [dec.u.to_lists(), dec.s.to_lists(), dec.v.to_lists()]).encode())
-    assert digest.hexdigest() == SNF_DIGEST
+        assert dec.verify(b), b.to_lists()
+        s_digest.update(json.dumps(dec.s.to_lists()).encode())
+        uv_digest.update(json.dumps(
+            [dec.u.to_lists(), dec.v.to_lists()]).encode())
+    assert s_digest.hexdigest() == S_DIGEST
+    assert uv_digest.hexdigest() == UV_DIGEST
 

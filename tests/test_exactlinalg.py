@@ -11,6 +11,7 @@ from z2index.exactlinalg import (
     GF2Matrix,
     GF2Vector,
     IntMatrix,
+    bordered,
     cokernel_structure,
     congruence_transform,
     gf2_kernel_basis,
@@ -89,6 +90,24 @@ class TestSmithNormalForm:
             assert max(abs(e).bit_length() for m in (dec.u, dec.s, dec.v)
                        for row in m.entries for e in row) < 8192
             assert dec.verify(b)
+
+
+class TestDiagonalForm:
+    """`eliminate` gives a diagonal form whose entries need not divide one
+    another; `smith_normal_form` alone makes the divisor chain."""
+
+    @pytest.mark.parametrize("b, diagonal, factor", [
+        (IntMatrix.diagonal([2, 3]), [2, 3], 6),
+        # dense, with a pivot 2 that does not divide the trailing 5
+        (mat([[2, 2], [2, -3]]), [2, 5], 10),
+    ])
+    def test_no_divisor_chain(self, b, diagonal, factor):
+        assert bordered(b, ())[0] == diagonal
+        assert bordered(b, [(1, 0)])[0] == diagonal
+        assert cokernel_structure(b) == AbelianGroup((factor,), 0)
+        dec = smith_normal_form(b)
+        assert dec.diagonal == (1, factor)
+        assert dec.verify(b)
 
 
 class TestCokernel:
