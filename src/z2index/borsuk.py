@@ -447,7 +447,7 @@ def diagonal_index(diagonal, x: CoverClass) -> int:
     s is not divisible by 4, else 2 iff x selects any even nonzero entry,
     else 1.
     """
-    diagonal = [int(d) for d in diagonal]
+    diagonal = list(map(operator.index, diagonal))
     bits = x.bits()
     if len(bits) != len(diagonal):
         raise ValueError("class length does not match the diagonal")

@@ -21,63 +21,60 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check of the exact computation failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntMatrix:
-    """Immutable integer matrix, row-major.
+    """Immutable integer matrix: its shape and `sparse_rows`, a dict per row
+    from column to nonzero entry, read by every structural pass.  The rows
+    are shared, so read-only: `eliminate` only ever gets copies.
 
-    `sparse_rows`, made at construction or given to `from_sparse`, is the
-    one place the nonzero entries are found: a dict per row from column to
-    entry, read by every structural pass.  It is shared, so read-only:
-    `eliminate` only ever gets copies.  `from_sparse` leaves `entries` to
-    their first use, so a lens chain costs its nonzeros until then."""
+    The constructor takes the dict rows unchecked, and `symmetric`, when
+    given, as the value of `is_symmetric`; `from_rows` is the one checked
+    way in from dense rows.  The dense `entries` are made from the sparse
+    rows on first read, so a lens chain costs its nonzeros until then."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    sparse_rows: tuple[dict[int, int], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionError("negative dimensions")
-        if len(self.entries) != self.rows:
-            raise DimensionError(
-                f"expected {self.rows} rows, got {len(self.entries)}"
-            )
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise DimensionError(
-                    f"ragged row: expected {self.cols} entries, got {len(r)}"
-                )
-        # a tuple, so that compress makes no int for a skipped column
-        columns = tuple(range(self.cols))
-        object.__setattr__(self, "sparse_rows", tuple(
-            {j: row[j] for j in compress(columns, row)}
-            for row in self.entries))
-
-    @classmethod
-    def from_sparse(cls, rows: int, cols: int, sparse_rows,
-                    symmetric: bool | None = None) -> "IntMatrix":
-        """The matrix with the rows sparse_rows, dicts from column to
-        nonzero entry, taken unchecked, as is symmetric when given."""
-        b = object.__new__(cls)
-        b.__dict__.update(rows=rows, cols=cols, sparse_rows=tuple(sparse_rows))
+    def __init__(self, rows: int, cols: int, sparse_rows,
+                 symmetric: bool | None = None):
+        fields = self.__dict__
+        fields["rows"], fields["cols"] = rows, cols
+        fields["sparse_rows"] = tuple(sparse_rows)
         if symmetric is not None:
-            b.__dict__["is_symmetric"] = symmetric
-        return b
+            fields["is_symmetric"] = symmetric
 
-    def __getattr__(self, name):
-        if name != "entries":  # only a matrix from `from_sparse` lacks them
-            raise AttributeError(f"IntMatrix has no attribute {name!r}")
-        return vars(self).setdefault(name, tuple(map(tuple, self.to_lists())))
+    def __hash__(self):
+        # frozensets, as == of the dict rows ignores their order
+        return hash((self.rows, self.cols,
+                     tuple(map(frozenset, map(dict.items, self.sparse_rows)))))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        entries = tuple(tuple(int(e) for e in r) for r in rows)
-        return cls(len(entries), len(entries[0]) if entries else 0, entries)
+        """The matrix with the dense rows given, checked to be of equal
+        length and to hold integers: a float or a Fraction is refused by
+        `operator.index`, never rounded."""
+        rows = [list(map(operator.index, r)) for r in rows]
+        cols = len(rows[0]) if rows else 0
+        for r in rows:
+            if len(r) != cols:
+                raise DimensionError(
+                    f"ragged row: expected {cols} entries, got {len(r)}")
+        # a tuple, so that compress makes no int for a skipped column
+        columns = tuple(range(cols))
+        return cls(len(rows), cols, [{j: r[j] for j in compress(columns, r)}
+                                     for r in rows])
 
     @classmethod
     def diagonal(cls, diag) -> "IntMatrix":
-        rows = [{i: d} if d else {} for i, d in enumerate(map(int, diag))]
-        return cls.from_sparse(len(rows), len(rows), rows)
+        rows = [{i: d} if d else {}
+                for i, d in enumerate(map(operator.index, diag))]
+        return cls(len(rows), len(rows), rows)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, from `to_lists`."""
+        return tuple(map(tuple, self.to_lists()))
 
     @property
     def is_square(self) -> bool:
@@ -92,10 +89,11 @@ class IntMatrix:
             for i, row in enumerate(self.sparse_rows) for j, e in row.items())
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        ))
+        columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, e in row.items():
+                columns[j][i] = e
+        return IntMatrix(self.cols, self.rows, columns)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -103,11 +101,10 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}"
             )
-        ot = other.transpose().entries
-        return IntMatrix(self.rows, other.cols, tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        ))
+        ot, mul = other.transpose().to_lists(), operator.mul
+        return IntMatrix(self.rows, other.cols, [
+            {j: e for j, col in enumerate(ot) if (e := sum(map(mul, row, col)))}
+            for row in self.to_lists()])
 
     def mul_vec(self, vec) -> tuple[int, ...]:
         vec = tuple(vec)
@@ -355,10 +352,9 @@ def smith_normal_form(b: IntMatrix) -> SmithDecomposition:
                     s * a * y - t * c * x for x, y in zip(v[i], v[j])])
                 d[i], d[j] = g, a * d[j]
     return SmithDecomposition(
-        u=IntMatrix(m, m, tuple(map(tuple, u))),
-        s=IntMatrix(m, n, tuple(tuple(e if j == i else 0 for j in range(n))
-                                for i, e in enumerate(d))),
-        v=IntMatrix(n, n, tuple(zip(*v))),
+        u=IntMatrix.from_rows(u),
+        s=IntMatrix(m, n, [{i: e} if e else {} for i, e in enumerate(d)]),
+        v=IntMatrix.from_rows(zip(*v)),
     )
 
 
@@ -448,7 +444,7 @@ def principal_submatrix(b: IntMatrix, index) -> IntMatrix:
     if index == tuple(range(b.rows)) and b.is_square:
         return b
     at = {j: pos for pos, j in enumerate(index)}
-    return IntMatrix.from_sparse(len(index), len(index), (
+    return IntMatrix(len(index), len(index), (
         {at[j]: e for j, e in b.sparse_rows[i].items() if j in at}
         for i in index))
 
@@ -462,8 +458,9 @@ def cokernel_structure(b: IntMatrix) -> AbelianGroup:
 
 
 def _int_vector(y, rows: int) -> tuple[int, ...]:
-    """y as a tuple of ints, checked to have one entry per row."""
-    y = tuple(int(e) for e in y)
+    """y as a tuple of ints, checked to have one entry per row and, by
+    `operator.index`, to hold integers."""
+    y = tuple(map(operator.index, y))
     if len(y) != rows:
         raise DimensionError(f"vector length {len(y)} != row count {rows}")
     return y
@@ -532,7 +529,7 @@ class GF2Vector:
 
     @classmethod
     def from_bits(cls, coords) -> "GF2Vector":
-        coords = [int(c) % 2 for c in coords]
+        coords = [operator.index(c) % 2 for c in coords]
         bits = 0
         for i, c in enumerate(coords):
             if c:

@@ -83,31 +83,16 @@ def first_homology(b: IntMatrix) -> AbelianGroup:
 
 def cover_classes(b: IntMatrix, cap: int = 1024) -> tuple[list[CoverClass], bool]:
     """All connected-double-cover classes of b, lexicographic on bit
-    patterns.
+    patterns, in the order of the words of `lex_span`.
 
     Returns (classes, truncated).  When the kernel has 2^k - 1 > cap
     nonzero elements only a basis is returned and truncated is True.
     """
     _require_symmetric(b)
-    span, truncated = kernel_span(
+    words, _, truncated = lex_span(
         gf2_kernel_basis(GF2Matrix.from_int_matrix(b)), cap)
-    return [CoverClass.from_bits(lift) for lift, _ in span], truncated
-
-
-def kernel_span(basis: Sequence[GF2Vector], cap: int = 1024) -> tuple[
-        list[tuple[tuple[int, ...], int]], bool]:
-    """The nonzero vectors spanned by a mod-2 kernel basis, each as the
-    pair (lift, mask), in lexicographic order of lift: lift is the
-    vector's tuple of bits, and bit i of mask is set when basis[i] is a
-    summand of it.  The classes are sorted as the integers of `lex_span`,
-    not as tuples, and no vector object is built for a class.
-
-    Returns (span, truncated).  Under the cap policy of cover_classes, past
-    the cap only the basis vectors themselves are returned.
-    """
-    words, masks, truncated = lex_span(basis, cap)
-    return [(word_bits(word, basis[0].length)[::-1], mask)
-            for word, mask in zip(words, masks)], truncated
+    return [CoverClass.from_bits(word_bits(word, b.rows)[::-1])
+            for word in words], truncated
 
 
 def lex_word(v: GF2Vector) -> int:
@@ -118,8 +103,13 @@ def lex_word(v: GF2Vector) -> int:
 
 def lex_span(basis: Sequence[GF2Vector], cap: int = 1024) -> tuple[
         list[int], list[int], bool]:
-    """(words, masks, truncated): the `lex_word` and the mask of each class
-    of `kernel_span(basis, cap)`, in its order, sorted as integers."""
+    """The nonzero vectors spanned by a mod-2 kernel basis, as (words,
+    masks, truncated): the `lex_word` of each, sorted as integers, which is
+    the lexicographic order of their lifts, and its mask, whose bit i is
+    set when basis[i] is a summand of it.  No vector object is built.
+
+    Under the cap policy of cover_classes, past the cap only the basis
+    vectors themselves are listed, and truncated is True."""
     k = len(basis)
     truncated = k > 0 and 2 ** k - 1 > cap
     if truncated:

@@ -301,9 +301,7 @@ def suite_presentation_invariance(trials: int = 300, seed: int = 0):
             return False, (f"congruence changed indices for b={b.to_lists()}, "
                            f"p={p.to_lists()}")
         eps = rng.choice((1, -1))
-        stabilized = IntMatrix.from_rows([
-            list(row) + [0] for row in b.entries
-        ] + [[0] * n + [eps]])
+        stabilized = IntMatrix(n + 1, n + 1, b.sparse_rows + ({n: eps},))
         if _index_multiset(stabilized) != base:
             return False, (f"stabilization by ({eps}) changed indices for "
                            f"b={b.to_lists()}")

@@ -48,8 +48,10 @@ class SurgeryPresentation:
             raise PresentationError(f"matrix is not square: {b.rows} rows "
                                     f"but a row of length {b.cols}")
         if not b.is_symmetric:
-            i, j = next((i, j) for i, row in enumerate(b.entries)
-                        for j, e in enumerate(row) if e != b.entries[j][i])
+            # the asymmetric pairs come both ways round: name the first
+            rows = b.sparse_rows
+            i, j = min((min(i, j), max(i, j)) for i, row in enumerate(rows)
+                       for j, e in row.items() if rows[j].get(i) != e)
             raise PresentationError(f"matrix is not symmetric at ({i},{j})")
 
 
@@ -99,7 +101,7 @@ def lens_presentation(p: int, q: int) -> SurgeryPresentation:
     # the band 1, -a_i, 1 of each row i, cut to the columns of the chain
     rows = [{i - 1: 1, i: -a, i + 1: 1} for i, a in enumerate(coeffs)]
     del rows[0][-1], rows[-1][len(rows)]
-    b = IntMatrix.from_sparse(len(rows), len(rows), rows, True)
+    b = IntMatrix(len(rows), len(rows), rows, True)
     return SurgeryPresentation(b, f"L({p},{q})")
 
 
@@ -118,8 +120,7 @@ def _block_diagonal(matrices) -> IntMatrix:
         rows += ({j + before: e for j, e in row.items()}
                  for row in b.sparse_rows)
         before += b.rows
-    return IntMatrix.from_sparse(n, n, rows,
-                                 all(b.is_symmetric for b in matrices))
+    return IntMatrix(n, n, rows, all(b.is_symmetric for b in matrices))
 
 
 def _sum_label(labels) -> str | None:
@@ -258,8 +259,7 @@ def _read_matrix(matrix, label) -> SurgeryPresentation:
         big = max(big, max(r), -min(r))
     # n max|b_ij| bounds every entry of B X, so of every Y reported
     check_printable(m * big, "n * max|b_ij| of the matrix")
-    return SurgeryPresentation(IntMatrix(m, m, tuple(map(tuple, matrix))),
-                               label)
+    return SurgeryPresentation(IntMatrix.from_rows(matrix), label)
 
 
 def _presentation_from_preset(doc, keys, label, stack: list):

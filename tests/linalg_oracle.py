@@ -7,13 +7,26 @@ operation over every row.  `gf2_kernel_basis` sweeps every row for every
 column.  Both cost O(n^2) on a lens chain, which is why they are no longer
 the program's, but their results are the reference: the sparse routines
 must give the same U, S and V and the same basis.  `principal_submatrix`
-and `block_diagonal` cut and join matrices entry by entry, through the dense
-constructor, where the program now cuts and joins the sparse rows.
+and `block_diagonal` cut and join matrices entry by entry, through
+`IntMatrix.from_rows`, where the program now cuts and joins the sparse rows.
+`dense_matrix` builds a matrix of any shape from dense rows.
 """
 
 import operator
 
-from z2index.exactlinalg import GF2Matrix, GF2Vector, IntMatrix
+from z2index.exactlinalg import DimensionError, GF2Matrix, GF2Vector, IntMatrix
+
+
+def dense_matrix(rows: int, cols: int, entries) -> IntMatrix:
+    """The rows x cols matrix with the dense rows entries: `from_rows`,
+    checked to give that shape, or for no rows the constructor, since
+    `from_rows` reads the width off the first row."""
+    entries = list(entries)
+    b = IntMatrix.from_rows(entries) if entries else IntMatrix(0, cols, ())
+    if (b.rows, b.cols) != (rows, cols):
+        raise DimensionError(f"{b.rows}x{b.cols} rows for a {rows}x{cols} "
+                             "matrix")
+    return b
 
 
 def eliminate(a: list[list[int]], m: int, n: int) -> list[list[int]]:
@@ -115,8 +128,8 @@ def gf2_kernel_basis(bbar: GF2Matrix) -> list[GF2Vector]:
 def principal_submatrix(b: IntMatrix, index) -> IntMatrix:
     """The rows and columns of b at index, in that order, read from the
     dense rows."""
-    return IntMatrix(len(index), len(index), tuple(
-        tuple(b.entries[i][j] for j in index) for i in index))
+    return IntMatrix.from_rows([[b.entries[i][j] for j in index]
+                                for i in index])
 
 
 def block_diagonal(matrices) -> IntMatrix:
@@ -128,4 +141,4 @@ def block_diagonal(matrices) -> IntMatrix:
         left, right = (0,) * before, (0,) * (n - before - b.rows)
         rows += [left + row + right for row in b.entries]
         before += b.rows
-    return IntMatrix(n, n, tuple(rows))
+    return IntMatrix.from_rows(rows)

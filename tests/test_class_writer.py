@@ -2,9 +2,10 @@
 
 `render_json` writes each `ClassEntry` by one template; the oracle is
 `json.dumps(value, indent=2, ensure_ascii=False)`, which writes the same
-entry as a plain dict.  `kernel_span` orders the classes by their lift
-tuples; the oracle is the order of the bit string read from bit 0 up,
-which is how the span was sorted before.
+entry as a plain dict.  `lex_span` orders the classes by their lift
+tuples, which `word_bits` decodes from its words; the oracle is the order
+of the bit string read from bit 0 up, which is how the span was sorted
+before.
 """
 
 import json
@@ -14,8 +15,8 @@ import pytest
 
 from z2index.borsuk import classify_all
 from z2index.cli import ClassEntry, build_report, render_json
-from z2index.exactlinalg import GF2Vector, IntMatrix
-from z2index.homology import kernel_span, xor_span
+from z2index.exactlinalg import GF2Vector, IntMatrix, word_bits
+from z2index.homology import lex_span, xor_span
 from z2index.surgery import SurgeryPresentation
 
 
@@ -121,8 +122,8 @@ def test_one_listing_of_every_kind_of_entry_equals_stdlib(pad):
 
 
 def _string_key_span(basis, cap):
-    """`kernel_span` as it was: (mask, vector) sorted by the bit string of
-    the vector read from bit 0 up."""
+    """The span as it was sorted: (mask, vector) by the bit string of the
+    vector read from bit 0 up."""
     k = len(basis)
     width = basis[0].length if basis else 0
     if k > 0 and 2 ** k - 1 > cap:
@@ -146,14 +147,16 @@ def _random_basis(rng, k, width):
     return basis
 
 
-def test_kernel_span_order_equals_the_string_key_order():
+def test_lex_span_order_equals_the_string_key_order():
     rng = random.Random(20261021)
     for _ in range(300):
         width = rng.randint(1, 12)
         k = rng.randint(0, min(width, 7))
         basis = _random_basis(rng, k, width)
         cap = rng.choice((0, 1, 2 ** k - 2, 1024))
-        span, truncated = kernel_span(basis, cap)
+        words, masks, truncated = lex_span(basis, cap)
+        span = [(word_bits(word, width)[::-1], mask)
+                for word, mask in zip(words, masks)]
         assert truncated == (k > 0 and 2 ** k - 1 > cap)
         assert span == [(v.to_bits(), mask) for mask, v in _string_key_span(
             basis, cap)], (basis, cap)

@@ -1,10 +1,14 @@
+import io
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z2index.borsuk import diagonal_index
+from z2index.cli import main
 from z2index.exactlinalg import (
     AbelianGroup,
     DimensionError,
@@ -16,11 +20,15 @@ from z2index.exactlinalg import (
     congruence_transform,
     gf2_kernel_basis,
     is_in_integral_image,
+    order_in_cokernel,
     smith_normal_form,
     solve_integral,
     word_bits,
 )
+from z2index.homology import CoverClass, torsion_linking
 from z2index.selftest import random_symmetric_matrix, random_unimodular_matrix
+
+from linalg_oracle import dense_matrix
 
 
 def mat(rows):
@@ -57,7 +65,7 @@ class TestSmithNormalForm:
         assert dec.s.rows == 0 and dec.verify(IntMatrix(0, 0, ()))
 
     def test_zero_matrix(self):
-        dec = smith_normal_form(IntMatrix(3, 2, ((0, 0),) * 3))
+        dec = smith_normal_form(mat([[0, 0]] * 3))
         assert dec.s.to_lists() == [[0, 0], [0, 0], [0, 0]]
 
     @given(int_matrices())
@@ -124,7 +132,7 @@ class TestCokernel:
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            cokernel_structure(IntMatrix(2, 3, ((0, 0, 0),) * 2))
+            cokernel_structure(mat([[0, 0, 0]] * 2))
 
     @given(int_matrices(max_dim=4, bound=8, square=True), st.randoms())
     @settings(max_examples=80, deadline=None)
@@ -180,9 +188,9 @@ class TestProducts:
         for _ in range(300):
             rows, cols = rng.randint(0, 9), rng.randint(0, 9)
             weights = rng.choice(((1, 0, 0, 0), (1, 1), (0,)))
-            b = IntMatrix(rows, cols, tuple(
-                tuple(rng.choice(weights) * rng.randint(-2 ** 70, 2 ** 70)
-                      for _ in range(cols)) for _ in range(rows)))
+            b = dense_matrix(rows, cols, (
+                [rng.choice(weights) * rng.randint(-2 ** 70, 2 ** 70)
+                 for _ in range(cols)] for _ in range(rows)))
             x = [rng.randint(-9, 9) for _ in range(cols)]
             assert b.mul_vec(x) == tuple(
                 sum(e * xi for e, xi in zip(row, x)) for row in b.entries)
@@ -206,7 +214,7 @@ class TestSymmetry:
             mat([[0, 0, 0], [0, 0, 0], [5, 0, 0]]),
             mat([[1, 3], [4, 1]]),                   # unequal nonzero mirrors
             mat([[1, 2, 3]]), mat([[1], [2]]),       # not square
-            IntMatrix(0, 3, ()), IntMatrix(2, 0, ((), ())),
+            IntMatrix(0, 3, ()), mat([[], []]),
         ]
         for _ in range(400):
             n = rng.randint(0, 7)
@@ -258,9 +266,9 @@ class TestGF2:
         for _ in range(200):
             rows, cols = rng.randint(0, 12), rng.randint(0, 40)
             weights = rng.choice(((1, 0, 0, 0, 0), (1, 1), (2, 0, 0)))
-            b = IntMatrix(rows, cols, tuple(
-                tuple(rng.choice(weights) * rng.randint(-9, 9)
-                      for _ in range(cols)) for _ in range(rows)))
+            b = dense_matrix(rows, cols, (
+                [rng.choice(weights) * rng.randint(-9, 9)
+                 for _ in range(cols)] for _ in range(rows)))
             words = tuple(
                 sum(1 << j for j, e in enumerate(row) if e % 2)
                 for row in b.entries)
@@ -298,3 +306,32 @@ class TestCongruence:
         b = mat([[2, 1], [1, -4]])
         p = mat([[1, 2], [1, 3]])
         assert congruence_transform(b, p).is_symmetric
+
+
+class TestNonIntegersRefused:
+    """Every entrance to the exact code admits integers by `operator.index`
+    and refuses a float or a Fraction with TypeError, where `int` rounded
+    it toward zero and the code went on with another input."""
+
+    @pytest.mark.parametrize("entrance", [
+        lambda: mat([[2.7]]),
+        lambda: IntMatrix.diagonal([2.9]),
+        lambda: solve_integral(mat([[2]]), [Fraction(5, 2)]),
+        lambda: order_in_cokernel(mat([[4]]), [0.5]),
+        lambda: is_in_integral_image(mat([[2]]), [Fraction(5, 2)]),
+        lambda: torsion_linking(mat([[4]]), [0.5], [0.5]),
+        lambda: GF2Vector.from_bits([1, 0.5]),
+        lambda: CoverClass.from_bits([1.0]),
+        lambda: diagonal_index([2.5], CoverClass.from_bits([1])),
+    ], ids=["from_rows", "diagonal", "solve_integral", "order_in_cokernel",
+            "is_in_integral_image", "torsion_linking", "GF2Vector.from_bits",
+            "CoverClass.from_bits", "diagonal_index"])
+    def test_refused(self, entrance):
+        with pytest.raises(TypeError):
+            entrance()
+
+    def test_cli_exit_code_is_unchanged(self, tmp_path):
+        # the parser refuses it first, as a presentation error
+        path = tmp_path / "float.json"
+        path.write_text('{"matrix": [[2.7]]}')
+        assert main(["analyze", str(path)], out=io.StringIO()) == 2

@@ -53,9 +53,9 @@ def assert_matches_oracle(b: IntMatrix, ys, with_v: bool):
 def random_block(rng: random.Random, m: int, n: int) -> IntMatrix:
     density = rng.random()
     size = rng.choice((1, 2, 3, 9, 30))
-    return IntMatrix(m, n, tuple(
-        tuple(rng.randint(-size, size) if rng.random() < density else 0
-              for _ in range(n))
+    return oracle.dense_matrix(m, n, (
+        [rng.randint(-size, size) if rng.random() < density else 0
+         for _ in range(n)]
         for _ in range(m)))
 
 

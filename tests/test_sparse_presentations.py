@@ -1,14 +1,19 @@
 """Presentations built, cut, joined and written from their sparse rows,
 against the dense routines they replaced.
 
-`IntMatrix.from_sparse` takes the rows as they are and makes the dense
-`entries` only when they are read.  `principal_submatrix` cuts a block from
-the sparse rows, and a connected sum joins its parts' sparse rows; the dense
-cut and join kept in `linalg_oracle` are the reference.  `render_json` writes
-the matrix of a report from its sparse rows; the oracle is the stdlib
-encoder on the dense rows.  Last, `lens 1001 1000`, `lens 1000 999` and a
-connected sum of even chains are built, analysed, classified and written as
-JSON without the dense entries of any matrix.
+An `IntMatrix` is its shape and sparse rows: the constructor takes the rows
+as they are, `from_rows` is the one checked way in from dense rows, and
+the dense `entries` are made only when they are read.  Dense rows that go
+in by `from_rows` come back out of `entries` and `transpose`, and a matrix
+equals and hashes as its sparse rows, whatever their order.
+`principal_submatrix` cuts a block from the sparse rows, and a connected
+sum joins its parts' sparse rows; the dense cut and join kept in
+`linalg_oracle` are the reference.  `render_json` writes the matrix of a
+report from its sparse rows; the oracle is the stdlib encoder on the dense
+rows.  Last, `lens 1001 1000`, `lens 1000 999` and a connected sum of even
+chains are built, analysed, classified and written as JSON with no call of
+`from_rows` and no read of `entries`, and a dense "matrix" document with
+one call and no read.
 """
 
 import io
@@ -17,11 +22,13 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linalg_oracle as oracle
 from z2index import cli
 from z2index.cli import MatrixRows, main, render_json
-from z2index.exactlinalg import IntMatrix, principal_submatrix
+from z2index.exactlinalg import DimensionError, IntMatrix, principal_submatrix
 from z2index.selftest import random_symmetric_matrix
 from z2index.surgery import (
     SurgeryPresentation,
@@ -70,8 +77,7 @@ def seeded_matrices(seed: int) -> list[IntMatrix]:
                             SurgeryPresentation(cases[-2]),
                             lens_presentation(9, 2)).matrix]
     # sparse rows whose columns do not come in ascending order
-    cases.append(IntMatrix.from_sparse(3, 3, [{2: -big, 0: 1}, {},
-                                              {1: 7, 0: -2}]))
+    cases.append(IntMatrix(3, 3, [{2: -big, 0: 1}, {}, {1: 7, 0: -2}]))
     return cases
 
 
@@ -88,23 +94,59 @@ def test_matrix_writer_equals_stdlib(seed):
 
 
 def test_matrix_writer_on_rows_of_no_columns():
-    b = IntMatrix(2, 0, ((), ()))
+    b = IntMatrix.from_rows([[], []])
     for pad in PADS:
         assert render_json(MatrixRows(b), pad) == stdlib([[], []]).replace(
             "\n", pad)
 
 
-def test_from_sparse_makes_entries_on_first_read():
+def test_entries_are_made_on_first_read():
     rows = [{0: 2, 2: -1}, {}, {0: 1, 2: 2 ** 70}]
-    b = IntMatrix.from_sparse(3, 3, rows)
-    assert "entries" not in vars(b)
-    dense = IntMatrix.from_rows([[2, 0, -1], [0, 0, 0], [1, 0, 2 ** 70]])
-    assert b == dense and b.sparse_rows == dense.sparse_rows
-    assert vars(b)["entries"] == dense.entries
+    dense = [[2, 0, -1], [0, 0, 0], [1, 0, 2 ** 70]]
+    for b in (IntMatrix(3, 3, rows), IntMatrix.from_rows(dense)):
+        assert "entries" not in vars(b)
+        assert b.entries == tuple(map(tuple, dense))
+        assert vars(b)["entries"] is b.entries
+    b = IntMatrix(3, 3, rows)
+    assert b == IntMatrix.from_rows(dense) and b.sparse_rows == tuple(rows)
     assert b.is_symmetric == transpose_symmetric(b) is False
-    assert IntMatrix.from_sparse(1, 1, [{0: 1}], symmetric=True).is_symmetric
+    assert IntMatrix(1, 1, [{0: 1}], symmetric=True).is_symmetric
     with pytest.raises(AttributeError):
         b.no_such_attribute
+
+
+@st.composite
+def dense_rows(draw):
+    """Dense integer rows of any shape up to 6 x 6, m x 0 included, mostly
+    zeros, with entries past 2^64."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.integers(-2 ** 70, 2 ** 70))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+
+
+@given(dense_rows(), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_from_rows_entries_equality_hash_and_transpose(rows, width):
+    """`from_rows(r).entries` is r, a copy whose row dicts were built in
+    reversed order is equal and hashes equal, and `transpose` is the dense
+    transpose; a matrix of no rows and `width` columns, which `from_rows`
+    cannot give, is made by the constructor."""
+    b = IntMatrix.from_rows(rows) if rows else IntMatrix(0, width, ())
+    assert b.entries == tuple(map(tuple, rows))
+    reverse = IntMatrix(b.rows, b.cols, [dict(reversed(row.items()))
+                                         for row in b.sparse_rows])
+    assert reverse == b and hash(reverse) == hash(b)
+    t = b.transpose()
+    assert (t.rows, t.cols) == (b.cols, b.rows)
+    assert t.entries == (tuple(zip(*rows)) if rows else ((),) * width)
+    assert t.transpose() == b and t == reverse.transpose()
+
+
+def test_from_rows_refuses_ragged_rows():
+    with pytest.raises(DimensionError, match="ragged row"):
+        IntMatrix.from_rows([[1, 2], [3]])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -173,30 +215,24 @@ def run(argv) -> str:
     return out.getvalue()
 
 
-# a connected sum whose parts are all even lens chains: k = 3, 7 classes,
-# each lift spanning parts, summed across blocks by one sweep
-EVEN_SUM = json.dumps({"preset": "connected_sum", "parts": [
-    {"preset": "lens", "p": 12, "q": 5}, {"preset": "lens", "p": 40, "q": 11},
-    {"preset": "connected_sum", "parts": [
-        {"preset": "lens", "p": 6, "q": 1}]}]})
-
-
-def sparse_only_run(monkeypatch, argv) -> str:
-    """The output of `main(argv)`, checked to be the same when no matrix
-    may be made by the dense constructor or read its dense `entries`, and
-    the report's dense lists, kept for `json.dumps`, are junk, so that the
+def dense_run(monkeypatch, argv) -> tuple[str, list[tuple[str, int]]]:
+    """The output of `main(argv)` and its dense touches: each call of
+    `IntMatrix.from_rows` and each read of `entries`, as its name and the
+    matrix's row count.  The output is checked to be the same while the
+    report's dense lists, kept for `json.dumps`, are junk, so that the
     writer must read the sparse rows."""
     expected = run(argv)
     dense = []
-    post_init, getattr_ = IntMatrix.__post_init__, IntMatrix.__getattr__
+    from_rows, make = IntMatrix.from_rows.__func__, IntMatrix.entries.func
 
-    def constructed(self):
-        dense.append(("constructor", self.rows))
-        post_init(self)
+    def counted(cls, rows):
+        b = from_rows(cls, rows)
+        dense.append(("from_rows", b.rows))
+        return b
 
-    def read(self, name):
-        dense.append((name, self.rows))
-        return getattr_(self, name)
+    def read(self):
+        dense.append(("entries", self.rows))
+        return make(self)
 
     build_report = cli.build_report
 
@@ -206,17 +242,25 @@ def sparse_only_run(monkeypatch, argv) -> str:
         return doc
 
     with monkeypatch.context() as patch:
-        patch.setattr(IntMatrix, "__post_init__", constructed)
-        patch.setattr(IntMatrix, "__getattr__", read)
+        patch.setattr(IntMatrix, "from_rows", classmethod(counted))
+        # a property, not cached, so that every read is recorded
+        patch.setattr(IntMatrix, "entries", property(read))
         patch.setattr(cli, "build_report", junk_rows)
         assert run(argv) == expected
+    return expected, dense
+
+
+def sparse_only_run(monkeypatch, argv) -> str:
+    """The output of `main(argv)`, checked to make no matrix from dense
+    rows and to read no dense `entries`."""
+    expected, dense = dense_run(monkeypatch, argv)
     assert dense == []
     return expected
 
 
 def test_lens_report_reads_only_the_sparse_rows(monkeypatch):
     """The chain of L(1001,1000) is built, analysed and written with no
-    dense constructor and no dense `entries`.  So the path touches the
+    `from_rows` and no dense `entries`.  So the path touches the
     3n - 2 nonzeros, and n^2 entries only in the copies of one zero row and
     its text."""
     expected = sparse_only_run(
@@ -248,3 +292,15 @@ def test_classified_reports_read_only_the_sparse_rows(monkeypatch, tmp_path,
     argv = [str(path) if a == "{sum}" else a for a in argv]
     report = json.loads(sparse_only_run(monkeypatch, argv))
     assert report["k"] == k and len(report["classes"]) == 2 ** k - 1
+
+
+def test_dense_document_goes_in_by_one_from_rows(monkeypatch, tmp_path):
+    """A "matrix" document makes its matrix by one `from_rows` call, and is
+    then analysed, classified, cross-checked and written from the sparse
+    rows, with no read of `entries`."""
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps({"matrix": [
+        [2, 0, 0, 0], [0, 4, 2, 0], [0, 2, -2, 0], [0, 0, 0, 0]]}))
+    output, dense = dense_run(monkeypatch, ["analyze", str(path), "--format",
+                                            "json"])
+    assert dense == [("from_rows", 4)] and json.loads(output)["k"] == 4

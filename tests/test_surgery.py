@@ -36,8 +36,7 @@ def presentations(draw, max_components=5, bound=9):
         for j in range(i, m):
             rows[i][j] = rows[j][i] = next(upper)
     label = draw(st.one_of(st.none(), st.text(max_size=8)))
-    return SurgeryPresentation(IntMatrix(m, m, tuple(map(tuple, rows))),
-                               label)
+    return SurgeryPresentation(mat(rows), label)
 
 
 class TestLinkingMatrix:
@@ -70,7 +69,7 @@ class TestValidation:
                            match=r"not square: 1 rows but a row of length 2"):
             SurgeryPresentation(mat([[1, 2]]))
         with pytest.raises(PresentationError, match="not square"):
-            SurgeryPresentation(IntMatrix(2, 0, ((), ())), "x")
+            SurgeryPresentation(mat([[], []]), "x")
 
     def test_rejects_asymmetric(self):
         with pytest.raises(PresentationError,
